@@ -15,12 +15,12 @@
 //	    With -metrics-addr, serves Prometheus metrics on /metrics, a
 //	    JSON protocol-state snapshot on /state (the real-kernel testlab
 //	    scrapes it to rebuild the overlay graph), and the standard
-//	    net/http/pprof profiling endpoints. Hardening
-//	    knobs: -peer-rate/-global-rate (inbound rate limits),
-//	    -max-datagram, -max-pending, -inbox-depth (bounded tables),
-//	    -keepalive-every (NAT mapping refresh), -compact-origins-every
-//	    (origin-interner eviction). On SIGINT/SIGTERM the node drains
-//	    gracefully for up to -drain before the socket is released.
+//	    net/http/pprof profiling endpoints. The receive path is
+//	    hardened with deploy.NodeConfig's defaults (rate limits, bounded
+//	    tables, origin-interner eviction every 512 rounds);
+//	    -keepalive-every sets the NAT mapping refresh. On
+//	    SIGINT/SIGTERM the node drains gracefully for up to -drain
+//	    before the socket is released.
 //
 //	croupier-node demo [-duration D] [-metrics-addr <ip:port>] [-flood]
 //	    Self-contained loopback swarm: a directory plus 5 public and
@@ -47,7 +47,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/metrics"
 	"repro/internal/pss"
-	"repro/internal/ratelimit"
 )
 
 func main() {
@@ -111,13 +110,7 @@ func runNode(args []string) error {
 	id := fs.Uint64("id", 0, "node id (0 = random)")
 	period := fs.Duration("period", time.Second, "gossip round period")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP address for /metrics and pprof (empty = disabled)")
-	peerRate := fs.Float64("peer-rate", 0, "per-peer inbound datagrams/s (0 = default 64, burst 2x)")
-	globalRate := fs.Float64("global-rate", 0, "aggregate inbound datagrams/s (0 = default 4096, burst 2x)")
-	maxDatagram := fs.Int("max-datagram", 0, "reject inbound datagrams larger than this many bytes (0 = default 2048)")
-	maxPending := fs.Int("max-pending", 0, "cap on concurrent pending exchanges (0 = default 64, negative = TTL-only)")
-	inboxDepth := fs.Int("inbox-depth", 0, "receive queue depth, oldest dropped when full (0 = default 256)")
 	keepaliveEvery := fs.Int("keepalive-every", 10, "NATed nodes ping public peers every N rounds to hold port mappings (0 = off)")
-	compactEvery := fs.Int("compact-origins-every", 512, "compact the estimate-origin interner every N rounds (0 = off)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown window on SIGINT/SIGTERM")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -151,26 +144,20 @@ func runNode(args []string) error {
 	}
 	cfg := croupier.DefaultConfig()
 	cfg.Params.Period = *period
-	cfg.CompactOriginsEvery = *compactEvery
+	// A long-lived node must not grow its origin interner forever.
+	cfg.CompactOriginsEvery = 512
 
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
 	}
 	node, err := deploy.StartNode(deploy.NodeConfig{
-		Listen:    *listen,
-		ID:        nodeID,
-		Nat:       natType,
-		Advertise: adv,
-		Directory: dir,
-		Croupier:  cfg,
-		RateLimit: ratelimit.Config{
-			PeerRate: *peerRate, PeerBurst: 2 * *peerRate,
-			GlobalRate: *globalRate, GlobalBurst: 2 * *globalRate,
-		},
-		MaxDatagram:    *maxDatagram,
-		MaxPending:     *maxPending,
-		InboxDepth:     *inboxDepth,
+		Listen:         *listen,
+		ID:             nodeID,
+		Nat:            natType,
+		Advertise:      adv,
+		Directory:      dir,
+		Croupier:       cfg,
 		KeepaliveEvery: *keepaliveEvery,
 		Registry:       reg,
 	})

@@ -21,6 +21,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/croupier"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/world"
 )
 
@@ -37,7 +38,7 @@ type pullReq struct {
 	Reply addr.Endpoint
 }
 
-// Size implements simnet.Message (4-byte chunk index + endpoint).
+// Size implements wire.Message (4-byte chunk index + endpoint).
 func (pullReq) Size() int { return 10 }
 
 // pullRes returns the chunk range (Have, Newest]; real streams carry
@@ -47,7 +48,7 @@ type pullRes struct {
 	Count  int
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m pullRes) Size() int { return 4 + m.Count*1350 }
 
 // player is the per-node streaming state.
@@ -76,7 +77,7 @@ func run() error {
 		}
 		p := &player{newest: -1}
 		players[n.ID] = p
-		sock, err := n.Host.Bind(appPort, func(pkt simnet.Packet) {
+		sock, err := n.Host.Bind(appPort, func(pkt wire.Packet) {
 			switch m := pkt.Msg.(type) {
 			case pullReq:
 				if p.newest > m.Have {

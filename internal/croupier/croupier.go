@@ -29,9 +29,8 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/intern"
 	"repro/internal/pss"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // SelectionPolicy chooses the shuffle target from the public view.
@@ -41,8 +40,7 @@ const (
 	// SelectTail picks the oldest descriptor (the paper's policy).
 	// It is the zero value.
 	SelectTail SelectionPolicy = iota
-	// SelectRandom picks uniformly at random — an ablation alternative
-	// exercised by BenchmarkAblationSelectionPolicy.
+	// SelectRandom picks uniformly at random — an ablation alternative.
 	SelectRandom
 	// SelectBiasedByID picks from the public view with probability
 	// proportional to the candidate's numeric node ID — a deliberately
@@ -495,21 +493,13 @@ draw:
 	return dst
 }
 
-// Transport sends protocol messages; *simnet.Socket satisfies it inside
-// simulations and internal/deploy provides a real-UDP implementation.
-// Send transfers ownership of pooled messages to the transport (see
-// simnet.Releasable).
-type Transport interface {
-	Send(to addr.Endpoint, msg simnet.Message)
-}
-
-// Node is one Croupier protocol instance. All methods must be called on
-// a single goroutine: the simulation event loop, or the deployment
-// runtime's driver loop.
+// Node is one Croupier protocol instance: a state machine its driver
+// advances with RunRound and HandlePacket (see pss.Protocol). All
+// methods must be called on a single goroutine: the simulation event
+// loop, or the deployment runtime's driver loop.
 type Node struct {
-	cfg   Config
-	sched *sim.Scheduler // nil when externally driven
-	sock  Transport
+	cfg  Config
+	sock exchange.Transport
 
 	self addr.NodeID
 	ep   addr.Endpoint
@@ -539,8 +529,6 @@ type Node struct {
 	histV     []int32 // per-round private hits
 	histPos   int     // ring write position once the history is full
 
-	ticker      *pss.Ticker
-	running     bool
 	draining    bool // graceful shutdown: expire, don't initiate
 	rebootstrap func() []view.Descriptor
 	reseedBuf   []view.Descriptor // scratch for filtering rebootstrap seeds
@@ -558,8 +546,8 @@ type Node struct {
 	lastOriginsLen int
 }
 
-// SetMetrics installs shared instruments on the node and its exchange
-// engine. Call before the node starts gossiping.
+// SetMetrics implements pss.Protocol, installing shared instruments on
+// the node and its exchange engine.
 func (n *Node) SetMetrics(m *pss.Metrics) {
 	n.m = m
 	if m != nil {
@@ -567,33 +555,19 @@ func (n *Node) SetMetrics(m *pss.Metrics) {
 	}
 }
 
-// SetSelectionTrace implements pss.SelectionTraced, recording this
-// node's partner selections into the shared trace. Call before the node
-// starts gossiping.
+// SetSelectionTrace implements pss.Protocol, recording this node's
+// partner selections into the shared trace.
 func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
-// New constructs a Croupier node bound to the given simulated socket.
-// selfEP is the node's advertised endpoint (its own address for public
-// nodes, the NAT-mapped endpoint discovered during NAT-type
-// identification for private nodes). seeds initialises the public view
-// (from the bootstrap service).
-func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, natType addr.NatType,
-	selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
-	n, err := NewWithTransport(cfg, sock.Host().ID(),
-		sim.NewRand(sched.Rand().Int63()), sock, natType, selfEP, seeds)
-	if err != nil {
-		return nil, err
-	}
-	n.sched = sched
-	return n, nil
-}
-
-// NewWithTransport constructs a node over an arbitrary transport, for
-// deployments outside the simulator. Such a node has no scheduler:
-// Start/Stop are no-ops and the owner drives it by calling RunRound once
-// per gossip period and HandlePacket for every received message, all
-// from one goroutine.
-func NewWithTransport(cfg Config, id addr.NodeID, rng *rand.Rand, tr Transport,
+// NewWithTransport constructs a Croupier node — the package's one
+// constructor. rng is the node's private random stream (copied in),
+// selfEP its advertised endpoint (its own address for public nodes,
+// the NAT-mapped endpoint discovered during NAT-type identification for
+// private nodes), and seeds initialises the views (from the bootstrap
+// service). The node owns no clock: its driver calls RunRound once per
+// gossip period and HandlePacket for every received message, all from
+// one goroutine.
+func NewWithTransport(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
 	natType addr.NatType, selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -638,9 +612,8 @@ func NewWithTransport(cfg Config, id addr.NodeID, rng *rand.Rand, tr Transport,
 	return n, nil
 }
 
-// RunRound executes one gossip round through the exchange engine.
-// Externally driven deployments call this once per period; simulated
-// nodes tick it from Start.
+// RunRound implements pss.Protocol: one gossip round through the
+// exchange engine.
 func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
 
 // SetMaxPending caps the exchange engine's pending table: once the cap
@@ -702,26 +675,9 @@ func (n *Node) Neighbors() []view.Descriptor {
 	return append(out, n.pri.Descriptors()...)
 }
 
-// Start implements pss.Protocol, beginning periodic rounds after a
-// random phase offset. It is a no-op for externally driven nodes (no
-// scheduler attached).
-func (n *Node) Start() {
-	if n.running || n.sched == nil {
-		return
-	}
-	n.running = true
-	phase := pss.RandomPhase(n.sched, n.cfg.Params.Period)
-	n.ticker = pss.StartTicker(n.sched, n.cfg.Params.Period, phase, n.RunRound)
-}
-
-// Stop implements pss.Protocol.
+// Stop implements pss.Protocol, retiring this node's residue from the
+// shared occupancy gauges.
 func (n *Node) Stop() {
-	if !n.running {
-		return
-	}
-	n.running = false
-	n.ticker.Stop()
-	// Retire this node's residue from the shared occupancy gauges.
 	if m := n.m; m != nil {
 		if n.lastEstLen != 0 {
 			m.EstimateEntries.Add(int64(-n.lastEstLen))
@@ -908,10 +864,10 @@ func (p *policy) MergeResponse(res *ShuffleRes, sentPub, sentPri []view.Descript
 	n.mergeEstimates(res.Estimates)
 }
 
-// HandlePacket dispatches an incoming message; it is the socket handler.
-// Message payloads are pooled: anything kept past the handler is copied
-// by the view and estimate merges.
-func (n *Node) HandlePacket(pkt simnet.Packet) {
+// HandlePacket implements pss.Protocol. Message payloads are pooled:
+// anything kept past the handler is copied by the view and estimate
+// merges.
+func (n *Node) HandlePacket(pkt wire.Packet) {
 	switch m := pkt.Msg.(type) {
 	case *ShuffleReq:
 		n.handleShuffleReq(pkt.From, m)
@@ -1082,7 +1038,6 @@ func (n *Node) Stats() (sentReqs, recvReqs, recvRess uint64) {
 }
 
 var (
-	_ pss.Protocol        = (*Node)(nil)
-	_ pss.SelectionTraced = (*Node)(nil)
-	_ exchange.Protocol   = (*policy)(nil)
+	_ pss.Protocol      = (*Node)(nil)
+	_ exchange.Protocol = (*policy)(nil)
 )

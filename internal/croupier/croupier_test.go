@@ -2,6 +2,7 @@ package croupier
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // rig is a minimal harness for direct protocol-level tests.
@@ -31,6 +33,10 @@ func newRig(t *testing.T) *rig {
 	return &rig{sched: sched, net: n}
 }
 
+// rng draws a node's private stream from the rig's scheduler stream,
+// the way internal/world seeds the nodes it builds.
+func (r *rig) rng() *rand.Rand { return sim.NewRand(r.sched.Rand().Int63()) }
+
 // node attaches a public-host croupier node without starting its ticker.
 func (r *rig) node(t *testing.T, id addr.NodeID, natType addr.NatType, seeds []view.Descriptor) *Node {
 	t.Helper()
@@ -39,11 +45,11 @@ func (r *rig) node(t *testing.T, id addr.NodeID, natType addr.NatType, seeds []v
 		t.Fatalf("AddPublicHost: %v", err)
 	}
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	n, err = New(DefaultConfig(), r.sched, sock, natType, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
+	n, err = NewWithTransport(DefaultConfig(), h.ID(), r.rng(), sock, natType, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -109,8 +115,8 @@ func TestConfigValidation(t *testing.T) {
 func TestNewRejectsUnknownNatType(t *testing.T) {
 	r := newRig(t)
 	h, _ := r.net.AddPublicHost(1)
-	sock, _ := h.Bind(100, func(simnet.Packet) {})
-	if _, err := New(DefaultConfig(), r.sched, sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
+	sock, _ := h.Bind(100, func(wire.Packet) {})
+	if _, err := NewWithTransport(DefaultConfig(), h.ID(), r.rng(), sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
 		t.Fatal("New accepted unknown NAT type")
 	}
 }
@@ -334,7 +340,7 @@ func TestRoundTargetsOldestCroupier(t *testing.T) {
 func TestLateShuffleResIgnored(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, addr.Public, []view.Descriptor{pubDesc(2)})
-	n.HandlePacket(simnet.Packet{Msg: &ShuffleRes{From: pubDesc(7), Pub: []view.Descriptor{pubDesc(8)}}})
+	n.HandlePacket(wire.Packet{Msg: &ShuffleRes{From: pubDesc(7), Pub: []view.Descriptor{pubDesc(8)}}})
 	if n.pub.Contains(8) {
 		t.Fatal("unsolicited response merged into view")
 	}
@@ -492,13 +498,13 @@ func TestSelectRandomPolicyVariesTargets(t *testing.T) {
 			t.Fatalf("AddPublicHost: %v", err)
 		}
 		var n *Node
-		sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+		sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 		if err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
 		cfg := DefaultConfig()
 		cfg.Selection = sel
-		n, err = New(cfg, r.sched, sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
+		n, err = NewWithTransport(cfg, h.ID(), r.rng(), sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -573,12 +579,12 @@ func TestMergeHealerPolicyReplacesOldest(t *testing.T) {
 	r := newRig(t)
 	h, _ := r.net.AddPublicHost(1)
 	var n *Node
-	sock, _ := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, _ := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	cfg := DefaultConfig()
 	cfg.Params.ViewSize = 2
 	cfg.Params.ShuffleSize = 2
 	cfg.Merge = MergeHealer
-	n, err := New(cfg, r.sched, sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
+	n, err := NewWithTransport(cfg, h.ID(), r.rng(), sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -619,11 +625,11 @@ func TestExchangeInvariantsHoldOverSimulatedRounds(t *testing.T) {
 			t.Fatalf("AddPublicHost: %v", err)
 		}
 		var n *Node
-		sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+		sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 		if err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
-		n, err = New(cfg, r.sched, sock, natType, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
+		n, err = NewWithTransport(cfg, h.ID(), r.rng(), sock, natType, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -651,7 +657,7 @@ func TestExchangeInvariantsHoldOverSimulatedRounds(t *testing.T) {
 // full round body without a network.
 type sinkTransport struct{}
 
-func (sinkTransport) Send(addr.Endpoint, simnet.Message) {}
+func (sinkTransport) Send(addr.Endpoint, wire.Message) {}
 
 // TestCompactOriginsBoundsInterner drives a deployment-configured node
 // through a churning origin population: five never-before-seen origins

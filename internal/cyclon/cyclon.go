@@ -18,9 +18,8 @@ import (
 	"repro/internal/addr"
 	"repro/internal/exchange"
 	"repro/internal/pss"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // Config parameterises one Cyclon node.
@@ -54,20 +53,18 @@ type ShuffleReq = exchange.Req
 // ShuffleRes answers a ShuffleReq.
 type ShuffleRes = exchange.Res
 
-// Node is one Cyclon instance.
+// Node is one Cyclon instance: a state machine its driver advances
+// with RunRound and HandlePacket (see pss.Protocol).
 type Node struct {
-	cfg   Config
-	sched *sim.Scheduler
-	sock  *simnet.Socket
-	rng   *rand.Rand
-	eng   *exchange.Engine
+	cfg  Config
+	sock exchange.Transport
+	rng  *rand.Rand
+	eng  *exchange.Engine
 
 	self addr.NodeID
 	ep   addr.Endpoint
 
 	view        *view.View
-	ticker      *pss.Ticker
-	running     bool
 	rebootstrap func() []view.Descriptor
 
 	// m is the (typically world-shared) instrument set; nil when
@@ -75,8 +72,8 @@ type Node struct {
 	m *pss.Metrics
 }
 
-// SetMetrics installs shared instruments on the node and its exchange
-// engine. Call before the node starts gossiping.
+// SetMetrics implements pss.Protocol, installing shared instruments on
+// the node and its exchange engine.
 func (n *Node) SetMetrics(m *pss.Metrics) {
 	n.m = m
 	if m != nil {
@@ -84,14 +81,16 @@ func (n *Node) SetMetrics(m *pss.Metrics) {
 	}
 }
 
-// SetSelectionTrace implements pss.SelectionTraced, recording this
-// node's partner selections into the shared trace. Call before the node
-// starts gossiping.
+// SetSelectionTrace implements pss.Protocol, recording this node's
+// partner selections into the shared trace.
 func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
-// New constructs a Cyclon node seeded with the given descriptors.
-func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, selfEP addr.Endpoint,
-	seeds []view.Descriptor) (*Node, error) {
+// New constructs a Cyclon node seeded with the given descriptors. The
+// signature is the one all four systems share; Cyclon has no NAT
+// handling, so the NAT type is ignored and every node advertises
+// itself public.
+func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
+	_ addr.NatType, selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,15 +98,7 @@ func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, selfEP addr.Endp
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:   cfg,
-		sched: sched,
-		sock:  sock,
-		rng:   sim.NewRand(sched.Rand().Int63()),
-		eng:   eng,
-		self:  sock.Host().ID(),
-		ep:    selfEP,
-	}
+	n := &Node{cfg: cfg, sock: tr, rng: rng, eng: eng, self: id, ep: selfEP}
 	n.view = view.New(cfg.Params.ViewSize, n.self)
 	for _, d := range seeds {
 		n.view.Add(d)
@@ -130,36 +121,21 @@ func (n *Node) Neighbors() []view.Descriptor { return n.view.Descriptors() }
 // Sample implements pss.Protocol with a uniform draw from the view.
 func (n *Node) Sample() (view.Descriptor, bool) { return n.view.Random(n.rng) }
 
-// SetRebootstrap installs a callback queried for fresh seed
+// SetRebootstrap implements pss.Protocol: fn is queried for fresh seed
 // descriptors whenever the view runs empty, mirroring a real client
 // re-contacting the bootstrap service instead of staying isolated.
 func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn }
 
-// Start implements pss.Protocol.
-func (n *Node) Start() {
-	if n.running {
-		return
-	}
-	n.running = true
-	phase := pss.RandomPhase(n.sched, n.cfg.Params.Period)
-	n.ticker = pss.StartTicker(n.sched, n.cfg.Params.Period, phase, n.runRound)
-}
-
-// Stop implements pss.Protocol.
-func (n *Node) Stop() {
-	if !n.running {
-		return
-	}
-	n.running = false
-	n.ticker.Stop()
-}
+// Stop implements pss.Protocol; Cyclon publishes no occupancy gauges.
+func (n *Node) Stop() {}
 
 func (n *Node) selfDescriptor() view.Descriptor {
 	return view.Descriptor{ID: n.self, Endpoint: n.ep, Nat: addr.Public}
 }
 
-// runRound drives one gossip round through the exchange engine.
-func (n *Node) runRound() { n.eng.RunRound((*policy)(n)) }
+// RunRound implements pss.Protocol: one gossip round through the
+// exchange engine.
+func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
 
 // policy adapts the node to the exchange engine's strategy hooks.
 type policy Node
@@ -208,10 +184,10 @@ func (p *policy) MergeResponse(res *ShuffleRes, sentPub, _ []view.Descriptor) {
 	n.view.Merge(sentPub, res.Pub)
 }
 
-// HandlePacket is the socket handler. Payload slices are pooled and
+// HandlePacket implements pss.Protocol. Payload slices are pooled and
 // recycled after the handler returns; the view merge copies what it
 // keeps.
-func (n *Node) HandlePacket(pkt simnet.Packet) {
+func (n *Node) HandlePacket(pkt wire.Packet) {
 	switch m := pkt.Msg.(type) {
 	case *ShuffleReq:
 		n.handleReq(pkt.From, m)
@@ -232,7 +208,6 @@ func (n *Node) handleReq(from addr.Endpoint, req *ShuffleReq) {
 }
 
 var (
-	_ pss.Protocol        = (*Node)(nil)
-	_ pss.SelectionTraced = (*Node)(nil)
-	_ exchange.Protocol   = (*policy)(nil)
+	_ pss.Protocol      = (*Node)(nil)
+	_ exchange.Protocol = (*policy)(nil)
 )

@@ -1,6 +1,7 @@
 package cyclon
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 type rig struct {
@@ -26,6 +28,10 @@ func newRig(t *testing.T) *rig {
 	return &rig{sched: sched, net: n}
 }
 
+// rng draws a node's private stream from the rig's scheduler stream,
+// the way internal/world seeds the nodes it builds.
+func (r *rig) rng() *rand.Rand { return sim.NewRand(r.sched.Rand().Int63()) }
+
 func (r *rig) node(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *Node {
 	t.Helper()
 	h, err := r.net.AddPublicHost(id)
@@ -33,11 +39,11 @@ func (r *rig) node(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *Node 
 		t.Fatalf("AddPublicHost: %v", err)
 	}
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	n, err = New(DefaultConfig(), r.sched, sock, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
+	n, err = New(DefaultConfig(), h.ID(), r.rng(), sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, seeds)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -80,7 +86,7 @@ func TestNatTypeAlwaysPublic(t *testing.T) {
 func TestRoundUsesTailSelection(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, []view.Descriptor{desc(2, 9), desc(3, 1)})
-	n.runRound()
+	n.RunRound()
 	if n.view.Contains(2) {
 		t.Fatal("oldest descriptor not removed on shuffle")
 	}
@@ -95,7 +101,7 @@ func TestTwoNodeExchange(t *testing.T) {
 	b := r.node(t, 2, []view.Descriptor{desc(5, 0), desc(6, 0)})
 	a.view.Add(view.Descriptor{ID: 2, Endpoint: b.ep, Nat: addr.Public, Age: 50})
 
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 
 	learnedFromB := a.view.Contains(5) || a.view.Contains(6)
@@ -113,7 +119,7 @@ func TestSelfNeverEntersOwnView(t *testing.T) {
 	b := r.node(t, 2, nil)
 	_ = b
 	for i := 0; i < 10; i++ {
-		a.runRound()
+		a.RunRound()
 		r.sched.Run()
 	}
 	if a.view.Contains(1) {
@@ -124,7 +130,7 @@ func TestSelfNeverEntersOwnView(t *testing.T) {
 func TestUnsolicitedResponseIgnored(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, nil)
-	n.HandlePacket(simnet.Packet{Msg: &ShuffleRes{From: desc(9, 0), Pub: []view.Descriptor{desc(8, 0)}}})
+	n.HandlePacket(wire.Packet{Msg: &ShuffleRes{From: desc(9, 0), Pub: []view.Descriptor{desc(8, 0)}}})
 	if n.view.Contains(8) {
 		t.Fatal("unsolicited response merged")
 	}
@@ -151,28 +157,31 @@ func TestSampleUniformOverView(t *testing.T) {
 	}
 }
 
-func TestStartStopIdempotent(t *testing.T) {
+// TestTickerDrivesRounds drives a node the way internal/world does: the
+// rig owns the ticker, the node only counts rounds.
+func TestTickerDrivesRounds(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, []view.Descriptor{desc(2, 0)})
-	n.Start()
-	n.Start() // second call is a no-op
+	period := n.cfg.Params.Period
+	tk := sim.StartTicker(r.sched, period, sim.RandomPhase(r.sched, period), n.RunRound)
 	r.sched.RunUntil(3 * time.Second)
 	rounds := n.Rounds()
 	if rounds < 2 || rounds > 4 {
-		t.Fatalf("rounds = %d after 3s, want ~3 (double Start must not double-tick)", rounds)
+		t.Fatalf("rounds = %d after 3s, want ~3", rounds)
 	}
+	tk.Stop()
 	n.Stop()
-	n.Stop()
+	n.Stop() // idempotent
 	r.sched.RunUntil(10 * time.Second)
 	if n.Rounds() != rounds {
-		t.Fatal("rounds advanced after Stop")
+		t.Fatal("rounds advanced after the ticker stopped")
 	}
 }
 
 func TestDeadTargetPurgedByTailSelection(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, []view.Descriptor{desc(99, 50)}) // 99 does not exist
-	n.runRound()
+	n.RunRound()
 	r.sched.Run()
 	if n.view.Contains(99) {
 		t.Fatal("dead descriptor survived a shuffle attempt")

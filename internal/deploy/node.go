@@ -13,8 +13,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pss"
 	"repro/internal/ratelimit"
-	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // PacketConn is the socket surface the node runtime drives.
@@ -196,18 +196,18 @@ type datagram struct {
 	from addr.Endpoint
 }
 
-// transport implements croupier.Transport over the node's socket.
+// transport implements exchange.Transport over the node's socket.
 type transport struct {
 	conn PacketConn
 	m    *nodeMetrics
 }
 
-// Send implements croupier.Transport. Encoding errors cannot happen
+// Send implements exchange.Transport. Encoding errors cannot happen
 // (both message types are always encodable); write errors are dropped
 // like any UDP loss. Send owns the pooled message: once serialised it
 // is released back to the protocol core's pool, mirroring the simulated
 // network's recycle-after-flight contract.
-func (t transport) Send(to addr.Endpoint, msg simnet.Message) {
+func (t transport) Send(to addr.Endpoint, msg wire.Message) {
 	var b []byte
 	switch m := msg.(type) {
 	case *croupier.ShuffleReq:
@@ -222,7 +222,7 @@ func (t transport) Send(to addr.Endpoint, msg simnet.Message) {
 		m.udpTx.Inc()
 		m.udpTxBytes.Add(uint64(len(b)))
 	}
-	if r, ok := msg.(simnet.Releasable); ok {
+	if r, ok := msg.(wire.Releasable); ok {
 		r.Release()
 	}
 }
@@ -506,7 +506,7 @@ func (n *Node) handleDatagram(d datagram) {
 		}
 		return
 	}
-	var payload simnet.Message
+	var payload wire.Message
 	switch m := msg.(type) {
 	case *croupier.ShuffleReq:
 		payload = m
@@ -520,8 +520,8 @@ func (n *Node) handleDatagram(d datagram) {
 	default:
 		return
 	}
-	n.core.HandlePacket(simnet.Packet{From: d.from, Msg: payload})
-	if r, ok := payload.(simnet.Releasable); ok {
+	n.core.HandlePacket(wire.Packet{From: d.from, Msg: payload})
+	if r, ok := payload.(wire.Releasable); ok {
 		r.Release()
 	}
 }

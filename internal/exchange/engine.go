@@ -5,7 +5,16 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
+
+// Transport carries protocol messages for one node: *simnet.Socket
+// inside simulations, internal/deploy's UDP sender in deployments. Send
+// transfers ownership of pooled messages to the transport (see
+// wire.Releasable).
+type Transport interface {
+	Send(to addr.Endpoint, msg wire.Message)
+}
 
 // Delivery is a Protocol's verdict on how a request left the node.
 type Delivery uint8

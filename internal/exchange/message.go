@@ -54,7 +54,7 @@ type Req struct {
 	free bool
 }
 
-// Size implements simnet.Message. Empty optional sections cost nothing
+// Size implements wire.Message. Empty optional sections cost nothing
 // on the accounted wire: the single-view protocols' messages keep the
 // header + sender + one-subset format of their original papers, and
 // are not charged for Croupier's private-view and estimate sections
@@ -104,7 +104,7 @@ type Res struct {
 	free bool
 }
 
-// Size implements simnet.Message; see Req.Size for the section rules.
+// Size implements wire.Message; see Req.Size for the section rules.
 func (m *Res) Size() int {
 	return messageSize(m.From, m.Pub, m.Pri, m.Estimates)
 }

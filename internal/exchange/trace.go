@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/sim"
 )
 
 // SelectionEvent is one recorded partner selection: at shuffle-initiate
@@ -50,7 +49,7 @@ type Trace struct {
 	// Shard-view state: the owning master, the shard's clock for time
 	// tagging, and the pending tagged buffer MergeShards drains.
 	master *Trace
-	sched  *sim.Scheduler
+	now    func() time.Duration
 	tagged []taggedSelection
 }
 
@@ -82,7 +81,7 @@ func (t *Trace) Record(selector, selected addr.NodeID) {
 			return
 		}
 		t.tagged = append(t.tagged, taggedSelection{
-			at: t.sched.Now(),
+			at: t.now(),
 			ev: SelectionEvent{Selector: selector, Selected: selected},
 		})
 		return
@@ -93,11 +92,12 @@ func (t *Trace) Record(selector, selected addr.NodeID) {
 	t.events = append(t.events, SelectionEvent{Selector: selector, Selected: selected})
 }
 
-// Shard returns a per-shard view of the trace recording against the
-// given shard scheduler's clock. Worlds hand each node the view of the
-// shard it runs on and call MergeShards at every barrier.
-func (t *Trace) Shard(sched *sim.Scheduler) *Trace {
-	v := &Trace{master: t, sched: sched}
+// Shard returns a per-shard view of the trace that tags events with
+// the given clock (the shard scheduler's Now). Worlds hand each node
+// the view of the shard it runs on and call MergeShards at every
+// barrier.
+func (t *Trace) Shard(now func() time.Duration) *Trace {
+	v := &Trace{master: t, now: now}
 	t.shards = append(t.shards, v)
 	return v
 }

@@ -30,8 +30,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/exchange"
 	"repro/internal/pss"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -93,10 +91,10 @@ type RelayRegister struct {
 	fl   *exchange.FreeList[RelayRegister]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *RelayRegister) Size() int { return wire.MsgHeaderSize + wire.DescriptorSize(m.From) }
 
-// Release implements simnet.Releasable.
+// Release implements wire.Releasable.
 func (m *RelayRegister) Release() {
 	if m.fl != nil {
 		m.fl.Put(m)
@@ -107,7 +105,7 @@ func (m *RelayRegister) Release() {
 // value boxing costs nothing and it needs no pooling.
 type RelayRegisterAck struct{}
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (RelayRegisterAck) Size() int { return wire.MsgHeaderSize }
 
 // RelayForward asks a relay to deliver the inner request to one of its
@@ -118,10 +116,10 @@ type RelayForward struct {
 	fl     *exchange.FreeList[RelayForward]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *RelayForward) Size() int { return wire.MsgHeaderSize + 2 + m.Inner.Size() }
 
-// Release implements simnet.Releasable, recycling the inner request too
+// Release implements wire.Releasable, recycling the inner request too
 // unless a handler took ownership of it (and nilled the field).
 func (m *RelayForward) Release() {
 	if m.Inner != nil {
@@ -141,10 +139,10 @@ type RelayedReq struct {
 	fl     *exchange.FreeList[RelayedReq]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *RelayedReq) Size() int { return wire.MsgHeaderSize + wire.EndpointSize + m.Inner.Size() }
 
-// Release implements simnet.Releasable; see RelayForward.Release.
+// Release implements wire.Releasable; see RelayForward.Release.
 func (m *RelayedReq) Release() {
 	if m.Inner != nil {
 		m.Inner.Release()
@@ -163,10 +161,10 @@ type RelayResForward struct {
 	fl     *exchange.FreeList[RelayResForward]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *RelayResForward) Size() int { return wire.MsgHeaderSize + wire.EndpointSize + m.Inner.Size() }
 
-// Release implements simnet.Releasable; see RelayForward.Release.
+// Release implements wire.Releasable; see RelayForward.Release.
 func (m *RelayResForward) Release() {
 	if m.Inner != nil {
 		m.Inner.Release()
@@ -189,13 +187,13 @@ type relayState struct {
 	lastAck int
 }
 
-// Node is one Gozar protocol instance.
+// Node is one Gozar protocol instance: a state machine its driver
+// advances with RunRound and HandlePacket (see pss.Protocol).
 type Node struct {
-	cfg   Config
-	sched *sim.Scheduler
-	sock  *simnet.Socket
-	rng   *rand.Rand
-	eng   *exchange.Engine
+	cfg  Config
+	sock exchange.Transport
+	rng  *rand.Rand
+	eng  *exchange.Engine
 
 	self addr.NodeID
 	ep   addr.Endpoint
@@ -221,8 +219,6 @@ type Node struct {
 	relayPool  exchange.FreeList[RelayedReq]
 	resFwdPool exchange.FreeList[RelayResForward]
 
-	ticker      *pss.Ticker
-	running     bool
 	rebootstrap func() []view.Descriptor
 
 	// relayEvents, when set, observes relay failover; the scratch
@@ -238,8 +234,8 @@ type Node struct {
 	m *pss.Metrics
 }
 
-// SetMetrics installs shared instruments on the node and its exchange
-// engine. Call before the node starts gossiping.
+// SetMetrics implements pss.Protocol, installing shared instruments on
+// the node and its exchange engine.
 func (n *Node) SetMetrics(m *pss.Metrics) {
 	n.m = m
 	if m != nil {
@@ -247,20 +243,19 @@ func (n *Node) SetMetrics(m *pss.Metrics) {
 	}
 }
 
-// SetSelectionTrace implements pss.SelectionTraced, recording this
-// node's partner selections into the shared trace. Call before the node
-// starts gossiping.
+// SetSelectionTrace implements pss.Protocol, recording this node's
+// partner selections into the shared trace.
 func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
 // New constructs a Gozar node. seeds initialise the view; private nodes
 // acquire their first relays from the public seeds.
-func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, natType addr.NatType,
-	selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
+func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
+	natType addr.NatType, selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if natType == addr.NatUnknown {
-		return nil, fmt.Errorf("gozar: node %v has unknown NAT type; run natid first", sock.Host().ID())
+		return nil, fmt.Errorf("gozar: node %v has unknown NAT type; run natid first", id)
 	}
 	eng, err := exchange.NewEngine(cfg.PendingTTL)
 	if err != nil {
@@ -268,11 +263,10 @@ func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, natType addr.Nat
 	}
 	n := &Node{
 		cfg:     cfg,
-		sched:   sched,
-		sock:    sock,
-		rng:     sim.NewRand(sched.Rand().Int63()),
+		sock:    tr,
+		rng:     rng,
 		eng:     eng,
-		self:    sock.Host().ID(),
+		self:    id,
 		ep:      selfEP,
 		nat:     natType,
 		clients: make(map[addr.NodeID]*registration),
@@ -318,7 +312,7 @@ func (n *Node) RegisteredClients() int { return len(n.clients) }
 // no usable relays.
 func (n *Node) FailedShuffles() uint64 { return n.failedShuffles }
 
-// SetRebootstrap installs a callback queried for fresh seed
+// SetRebootstrap implements pss.Protocol: fn is queried for fresh seed
 // descriptors whenever the view runs empty, mirroring a real client
 // re-contacting the bootstrap service instead of staying isolated.
 func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn }
@@ -332,24 +326,8 @@ func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn 
 // removes the listener. Call before the node starts gossiping.
 func (n *Node) SetRelayEvents(fn func(lost, gained []view.Relay)) { n.relayEvents = fn }
 
-// Start implements pss.Protocol.
-func (n *Node) Start() {
-	if n.running {
-		return
-	}
-	n.running = true
-	phase := pss.RandomPhase(n.sched, n.cfg.Params.Period)
-	n.ticker = pss.StartTicker(n.sched, n.cfg.Params.Period, phase, n.runRound)
-}
-
-// Stop implements pss.Protocol.
-func (n *Node) Stop() {
-	if !n.running {
-		return
-	}
-	n.running = false
-	n.ticker.Stop()
-}
+// Stop implements pss.Protocol; Gozar publishes no occupancy gauges.
+func (n *Node) Stop() {}
 
 // selfDescriptor advertises this node, embedding the current relay set
 // for private nodes so peers can reach them.
@@ -361,8 +339,9 @@ func (n *Node) selfDescriptor() view.Descriptor {
 	return d
 }
 
-// runRound drives one gossip round through the exchange engine.
-func (n *Node) runRound() { n.eng.RunRound((*policy)(n)) }
+// RunRound implements pss.Protocol: one gossip round through the
+// exchange engine.
+func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
 
 // policy adapts the node to the exchange engine's strategy hooks.
 type policy Node
@@ -505,10 +484,10 @@ func (n *Node) expireClients() {
 	}
 }
 
-// HandlePacket is the socket handler. Payloads are pooled and recycled
+// HandlePacket implements pss.Protocol. Payloads are pooled and recycled
 // once the handler returns; forwarding handlers take ownership of a
 // wrapper's inner message by nilling the field before re-sending it.
-func (n *Node) HandlePacket(pkt simnet.Packet) {
+func (n *Node) HandlePacket(pkt wire.Packet) {
 	switch m := pkt.Msg.(type) {
 	case *ShuffleReq:
 		n.handleReq(pkt.From, m, addr.Endpoint{})
@@ -604,7 +583,6 @@ func (n *Node) handleRelayForward(from addr.Endpoint, fwd *RelayForward) {
 }
 
 var (
-	_ pss.Protocol        = (*Node)(nil)
-	_ pss.SelectionTraced = (*Node)(nil)
-	_ exchange.Protocol   = (*policy)(nil)
+	_ pss.Protocol      = (*Node)(nil)
+	_ exchange.Protocol = (*policy)(nil)
 )

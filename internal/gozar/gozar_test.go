@@ -1,6 +1,7 @@
 package gozar
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 type rig struct {
@@ -26,6 +28,10 @@ func newRig(t *testing.T) *rig {
 	}
 	return &rig{sched: sched, net: n}
 }
+
+// rng draws a node's private stream from the rig's scheduler stream,
+// the way internal/world seeds the nodes it builds.
+func (r *rig) rng() *rand.Rand { return sim.NewRand(r.sched.Rand().Int63()) }
 
 // pubNode attaches a Gozar node on a public host.
 func (r *rig) pubNode(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *Node {
@@ -50,7 +56,7 @@ func (r *rig) priNode(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *No
 func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds []view.Descriptor) *Node {
 	t.Helper()
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
@@ -58,7 +64,7 @@ func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds [
 	if gw := h.Gateway(); gw != nil {
 		ep = addr.Endpoint{IP: gw.PublicIP(), Port: 100}
 	}
-	n, err = New(DefaultConfig(), r.sched, sock, natType, ep, seeds)
+	n, err = New(DefaultConfig(), h.ID(), r.rng(), sock, natType, ep, seeds)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -88,8 +94,8 @@ func TestConfigValidation(t *testing.T) {
 func TestNewRejectsUnknownNatType(t *testing.T) {
 	r := newRig(t)
 	h, _ := r.net.AddPublicHost(1)
-	sock, _ := h.Bind(100, func(simnet.Packet) {})
-	if _, err := New(DefaultConfig(), r.sched, sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
+	sock, _ := h.Bind(100, func(wire.Packet) {})
+	if _, err := New(DefaultConfig(), h.ID(), r.rng(), sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
 		t.Fatal("New accepted unknown NAT type")
 	}
 }
@@ -101,7 +107,7 @@ func TestPrivateNodeAcquiresRelays(t *testing.T) {
 	p3 := r.pubNode(t, 3, nil)
 	priv := r.priNode(t, 4, []view.Descriptor{pubDesc(p1), pubDesc(p2), pubDesc(p3)})
 
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 
 	if got := len(priv.Relays()); got != 3 {
@@ -117,7 +123,7 @@ func TestSelfDescriptorCarriesRelays(t *testing.T) {
 	r := newRig(t)
 	p1 := r.pubNode(t, 1, nil)
 	priv := r.priNode(t, 2, []view.Descriptor{pubDesc(p1)})
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 	d := priv.selfDescriptor()
 	if rs := d.Relays(); len(rs) != 1 || rs[0].ID != 1 {
@@ -129,12 +135,12 @@ func TestShuffleWithPrivateTargetViaRelay(t *testing.T) {
 	r := newRig(t)
 	relay := r.pubNode(t, 1, nil)
 	priv := r.priNode(t, 2, []view.Descriptor{pubDesc(relay)})
-	priv.runRound() // registers with the relay
+	priv.RunRound() // registers with the relay
 	r.sched.Run()
 
 	// A public node that knows priv's descriptor (with relay info).
 	requester := r.pubNode(t, 3, []view.Descriptor{priv.selfDescriptor()})
-	requester.runRound()
+	requester.RunRound()
 	r.sched.Run()
 
 	if !priv.view.Contains(3) {
@@ -152,7 +158,7 @@ func TestPrivateToPrivateShuffleRoundTrip(t *testing.T) {
 	r := newRig(t)
 	relay := r.pubNode(t, 1, nil)
 	target := r.priNode(t, 2, []view.Descriptor{pubDesc(relay)})
-	target.runRound() // register
+	target.RunRound() // register
 	r.sched.Run()
 
 	// Give the target view content to hand back in the response.
@@ -160,7 +166,7 @@ func TestPrivateToPrivateShuffleRoundTrip(t *testing.T) {
 	target.view.Add(extra)
 
 	requester := r.priNode(t, 3, []view.Descriptor{pubDesc(relay)})
-	requester.runRound() // register with relay too
+	requester.RunRound() // register with relay too
 	r.sched.Run()
 	requester.view.Add(target.selfDescriptor())
 	// Make the target's descriptor oldest so it is selected.
@@ -170,7 +176,7 @@ func TestPrivateToPrivateShuffleRoundTrip(t *testing.T) {
 		}
 	}
 
-	requester.runRound()
+	requester.RunRound()
 	r.sched.Run()
 
 	if !target.view.Contains(3) {
@@ -191,7 +197,7 @@ func TestShuffleFailsWithoutRelays(t *testing.T) {
 	r := newRig(t)
 	orphan := view.Descriptor{ID: 99, Endpoint: addr.Endpoint{IP: 9, Port: 9}, Nat: addr.Private}
 	n := r.pubNode(t, 1, []view.Descriptor{orphan})
-	n.runRound()
+	n.RunRound()
 	r.sched.Run()
 	if n.FailedShuffles() != 1 {
 		t.Fatalf("failed shuffles = %d, want 1", n.FailedShuffles())
@@ -202,7 +208,7 @@ func TestRelayExpiresSilentClients(t *testing.T) {
 	r := newRig(t)
 	relay := r.pubNode(t, 1, nil)
 	priv := r.priNode(t, 2, []view.Descriptor{pubDesc(relay)})
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 	if relay.RegisteredClients() != 1 {
 		t.Fatalf("clients = %d, want 1", relay.RegisteredClients())
@@ -210,7 +216,7 @@ func TestRelayExpiresSilentClients(t *testing.T) {
 	// The client goes silent; the relay must expire it after RelayTTL.
 	priv.Stop()
 	for i := 0; i < relay.cfg.RelayTTL+2; i++ {
-		relay.runRound()
+		relay.RunRound()
 	}
 	if relay.RegisteredClients() != 0 {
 		t.Fatalf("clients = %d after TTL, want 0", relay.RegisteredClients())
@@ -225,7 +231,7 @@ func TestPrivateNodeReplacesDeadRelay(t *testing.T) {
 
 	cfgRelays := priv.cfg.NumRelays
 	_ = cfgRelays
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 	before := len(priv.Relays())
 	if before != 2 {
@@ -235,7 +241,7 @@ func TestPrivateNodeReplacesDeadRelay(t *testing.T) {
 	// Kill one relay; after the ack timeout the private node drops it.
 	r.net.Remove(1)
 	for i := 0; i < priv.cfg.RelayAckTimeout+2; i++ {
-		priv.runRound()
+		priv.RunRound()
 		r.sched.Run()
 	}
 	for _, rl := range priv.Relays() {
@@ -308,7 +314,7 @@ func TestRelayEventsOnFailover(t *testing.T) {
 		gainedAll = append(gainedAll, g...)
 	})
 
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 	if events != 1 || len(lostAll) != 0 || len(gainedAll) != priv.cfg.NumRelays {
 		t.Fatalf("acquisition: events=%d lost=%v gained=%v, want one all-gained event of %d",
@@ -316,7 +322,7 @@ func TestRelayEventsOnFailover(t *testing.T) {
 	}
 
 	// Steady state: acks flow, the set is stable, no events fire.
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 	if events != 1 {
 		t.Fatalf("steady state fired %d extra events", events-1)
@@ -340,7 +346,7 @@ func TestRelayEventsOnFailover(t *testing.T) {
 	}
 	sawRecruit := func() bool { return len(gainedAll) > priv.cfg.NumRelays }
 	for i := 0; i < (priv.cfg.RelayAckTimeout+2)*8 && !(sawLoss() && sawRecruit()); i++ {
-		priv.runRound()
+		priv.RunRound()
 		r.sched.Run()
 	}
 	if !sawLoss() {

@@ -13,12 +13,10 @@ import (
 // probe against the given helper set on the simulated fabric.
 func startMappingClient(t *testing.T, w *world, h *simnet.Host, helpers []addr.Endpoint) MappingResult {
 	t.Helper()
-	env := &SimEnv{}
-	sock, err := h.Bind(port, env.Dispatch)
+	env, err := bindSimEnv(w.sched, h)
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	*env = *NewSimEnv(w.sched, sock)
 	var res *MappingResult
 	c := NewMappingClient(env, 3*time.Second, 42, func(r MappingResult) { res = &r })
 	env.SetMappingClient(c)
@@ -136,7 +134,7 @@ func TestMappingDuplicateHelpersAndReports(t *testing.T) {
 	// White-box: a duplicate report arriving late must be ignored and
 	// the callback must not fire twice.
 	calls := 0
-	c := NewMappingClient(&SimEnv{}, time.Second, 7, func(MappingResult) { calls++ })
+	c := NewMappingClient(&simEnv{}, time.Second, 7, func(MappingResult) { calls++ })
 	c.reports = []mapReportFrom{{helper: w.helperEps[0], observed: w.helperEps[0]}}
 	c.want = 2
 	c.HandleMapReport(w.helperEps[0], MapReport{Token: 7, Observed: w.helperEps[0]})

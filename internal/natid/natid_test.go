@@ -36,12 +36,10 @@ func newWorld(t *testing.T, helpers int) *world {
 		if err != nil {
 			t.Fatalf("AddPublicHost: %v", err)
 		}
-		env := &SimEnv{}
-		sock, err := h.Bind(port, env.Dispatch)
+		env, err := bindSimEnv(sched, h)
 		if err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
-		*env = *NewSimEnv(sched, sock)
 		ep := addr.Endpoint{IP: h.IP(), Port: port}
 		w.helperEps = append(w.helperEps, ep)
 		// Each helper knows every other helper and picks the first
@@ -77,12 +75,10 @@ func (w *world) pickExcluding(self addr.Endpoint, exclude []addr.Endpoint) (addr
 // the given probe set.
 func startClient(t *testing.T, w *world, h *simnet.Host, probes []addr.Endpoint, upnp UPnPMapper) *Result {
 	t.Helper()
-	env := &SimEnv{}
-	sock, err := h.Bind(port, env.Dispatch)
+	env, err := bindSimEnv(w.sched, h)
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	*env = *NewSimEnv(w.sched, sock)
 	var res *Result
 	c := NewClient(env, 3*time.Second, func(r Result) { res = &r })
 	env.SetClient(c)
@@ -202,12 +198,10 @@ func TestFirstResponseWins(t *testing.T) {
 	// the client must finish exactly once.
 	w := newWorld(t, 4)
 	h, _ := w.net.AddPublicHost(1)
-	env := &SimEnv{}
-	sock, err := h.Bind(port, env.Dispatch)
+	env, err := bindSimEnv(w.sched, h)
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	*env = *NewSimEnv(w.sched, sock)
 	doneCount := 0
 	c := NewClient(env, 3*time.Second, func(Result) { doneCount++ })
 	env.SetClient(c)

@@ -19,10 +19,8 @@ import (
 type UDPNode struct {
 	conn *net.UDPConn
 
-	mu        sync.Mutex
-	client    *Client
-	mapClient *MappingClient
-	server    *Server
+	mu  sync.Mutex
+	mux Mux // guarded by mu
 
 	// localIP is read by protocol handlers that already run under mu
 	// (LocalIP must therefore not take mu itself), so it is atomic.
@@ -72,7 +70,7 @@ func (n *UDPNode) Endpoint() addr.Endpoint {
 func (n *UDPNode) SetClient(c *Client) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.client = c
+	n.mux.SetClient(c)
 }
 
 // StartClient attaches the client and starts its run while holding the
@@ -83,7 +81,7 @@ func (n *UDPNode) SetClient(c *Client) {
 func (n *UDPNode) StartClient(c *Client, publics []addr.Endpoint, upnp UPnPMapper) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.client = c
+	n.mux.SetClient(c)
 	c.Start(publics, upnp)
 }
 
@@ -92,7 +90,7 @@ func (n *UDPNode) StartClient(c *Client, publics []addr.Endpoint, upnp UPnPMappe
 func (n *UDPNode) StartMappingClient(c *MappingClient, helpers []addr.Endpoint) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.mapClient = c
+	n.mux.SetMappingClient(c)
 	c.Start(helpers)
 }
 
@@ -100,7 +98,7 @@ func (n *UDPNode) StartMappingClient(c *MappingClient, helpers []addr.Endpoint) 
 func (n *UDPNode) SetServer(s *Server) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.server = s
+	n.mux.SetServer(s)
 }
 
 // SetLocalIP overrides the IP reported to the protocol logic. Tests use
@@ -169,34 +167,9 @@ func (n *UDPNode) readLoop() {
 			continue // malformed datagram
 		}
 		src := addr.Endpoint{IP: ipFromNet(from.IP), Port: uint16(from.Port)}
-		n.dispatch(src, msg)
-	}
-}
-
-func (n *UDPNode) dispatch(from addr.Endpoint, msg Msg) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch m := msg.(type) {
-	case MatchingIPTest:
-		if n.server != nil {
-			n.server.HandleMatchingIPTest(from, m)
-		}
-	case ForwardTest:
-		if n.server != nil {
-			n.server.HandleForwardTest(m)
-		}
-	case ForwardResp:
-		if n.client != nil {
-			n.client.HandleForwardResp(m)
-		}
-	case MapProbe:
-		if n.server != nil {
-			n.server.HandleMapProbe(from, m)
-		}
-	case MapReport:
-		if n.mapClient != nil {
-			n.mapClient.HandleMapReport(from, m)
-		}
+		n.mu.Lock()
+		n.mux.Dispatch(src, msg)
+		n.mu.Unlock()
 	}
 }
 

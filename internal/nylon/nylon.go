@@ -28,8 +28,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/exchange"
 	"repro/internal/pss"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -103,7 +101,7 @@ type ShuffleRes = exchange.Res
 // costs nothing.
 type Punch struct{}
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (Punch) Size() int { return wire.MsgHeaderSize }
 
 // HolePunchReq travels along the RVP chain to a private target, asking
@@ -119,10 +117,10 @@ type HolePunchReq struct {
 	fl       *exchange.FreeList[HolePunchReq]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *HolePunchReq) Size() int { return wire.MsgHeaderSize + 2 + wire.EndpointSize + 2 + 1 }
 
-// Release implements simnet.Releasable.
+// Release implements wire.Releasable.
 func (m *HolePunchReq) Release() {
 	if m.fl != nil {
 		m.fl.Put(m)
@@ -136,10 +134,10 @@ type PunchOK struct {
 	fl   *exchange.FreeList[PunchOK]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *PunchOK) Size() int { return wire.MsgHeaderSize + wire.DescriptorSize(m.From) }
 
-// Release implements simnet.Releasable.
+// Release implements wire.Releasable.
 func (m *PunchOK) Release() {
 	if m.fl != nil {
 		m.fl.Put(m)
@@ -153,10 +151,10 @@ type KeepAlive struct {
 	fl   *exchange.FreeList[KeepAlive]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *KeepAlive) Size() int { return wire.MsgHeaderSize + 2 }
 
-// Release implements simnet.Releasable.
+// Release implements wire.Releasable.
 func (m *KeepAlive) Release() {
 	if m.fl != nil {
 		m.fl.Put(m)
@@ -169,10 +167,10 @@ type KeepAliveAck struct {
 	fl   *exchange.FreeList[KeepAliveAck]
 }
 
-// Size implements simnet.Message.
+// Size implements wire.Message.
 func (m *KeepAliveAck) Size() int { return wire.MsgHeaderSize + 2 }
 
-// Release implements simnet.Releasable.
+// Release implements wire.Releasable.
 func (m *KeepAliveAck) Release() {
 	if m.fl != nil {
 		m.fl.Put(m)
@@ -208,13 +206,13 @@ type pendingPunch struct {
 	round int
 }
 
-// Node is one Nylon protocol instance.
+// Node is one Nylon protocol instance: a state machine its driver
+// advances with RunRound and HandlePacket (see pss.Protocol).
 type Node struct {
-	cfg   Config
-	sched *sim.Scheduler
-	sock  *simnet.Socket
-	rng   *rand.Rand
-	eng   *exchange.Engine
+	cfg  Config
+	sock exchange.Transport
+	rng  *rand.Rand
+	eng  *exchange.Engine
 
 	self addr.NodeID
 	ep   addr.Endpoint
@@ -238,8 +236,6 @@ type Node struct {
 	routePool exchange.FreeList[route]
 	rvpPool   exchange.FreeList[rvp]
 
-	ticker      *pss.Ticker
-	running     bool
 	rebootstrap func() []view.Descriptor
 
 	// rvpEvents, when set, observes rendezvous-point lifecycle:
@@ -264,8 +260,8 @@ type Node struct {
 	lastRVPCount int
 }
 
-// SetMetrics installs shared instruments on the node and its exchange
-// engine. Call before the node starts gossiping.
+// SetMetrics implements pss.Protocol, installing shared instruments on
+// the node and its exchange engine.
 func (n *Node) SetMetrics(m *pss.Metrics) {
 	n.m = m
 	if m != nil {
@@ -273,19 +269,18 @@ func (n *Node) SetMetrics(m *pss.Metrics) {
 	}
 }
 
-// SetSelectionTrace implements pss.SelectionTraced, recording this
-// node's partner selections into the shared trace. Call before the node
-// starts gossiping.
+// SetSelectionTrace implements pss.Protocol, recording this node's
+// partner selections into the shared trace.
 func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
 // New constructs a Nylon node seeded with the given descriptors.
-func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, natType addr.NatType,
-	selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
+func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
+	natType addr.NatType, selfEP addr.Endpoint, seeds []view.Descriptor) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if natType == addr.NatUnknown {
-		return nil, fmt.Errorf("nylon: node %v has unknown NAT type; run natid first", sock.Host().ID())
+		return nil, fmt.Errorf("nylon: node %v has unknown NAT type; run natid first", id)
 	}
 	eng, err := exchange.NewEngine(cfg.PendingTTL)
 	if err != nil {
@@ -293,11 +288,10 @@ func New(cfg Config, sched *sim.Scheduler, sock *simnet.Socket, natType addr.Nat
 	}
 	n := &Node{
 		cfg:     cfg,
-		sched:   sched,
-		sock:    sock,
-		rng:     sim.NewRand(sched.Rand().Int63()),
+		sock:    tr,
+		rng:     rng,
 		eng:     eng,
-		self:    sock.Host().ID(),
+		self:    id,
 		ep:      selfEP,
 		nat:     natType,
 		punches: make(map[addr.NodeID]pendingPunch),
@@ -335,7 +329,7 @@ func (n *Node) RelayedMessages() uint64 { return n.relayedMsgs }
 // RVPCount returns the number of live rendezvous relationships.
 func (n *Node) RVPCount() int { return len(n.rvps) }
 
-// SetRebootstrap installs a callback queried for fresh seed
+// SetRebootstrap implements pss.Protocol: fn is queried for fresh seed
 // descriptors whenever the view runs empty, mirroring a real client
 // re-contacting the bootstrap service instead of staying isolated.
 func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn }
@@ -349,24 +343,9 @@ func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn 
 // nil removes the listener. Call before the node starts gossiping.
 func (n *Node) SetRVPEvents(fn func(peer addr.NodeID, established bool)) { n.rvpEvents = fn }
 
-// Start implements pss.Protocol.
-func (n *Node) Start() {
-	if n.running {
-		return
-	}
-	n.running = true
-	phase := pss.RandomPhase(n.sched, n.cfg.Params.Period)
-	n.ticker = pss.StartTicker(n.sched, n.cfg.Params.Period, phase, n.runRound)
-}
-
-// Stop implements pss.Protocol.
+// Stop implements pss.Protocol, retiring this node's residue from the
+// shared RVP gauge.
 func (n *Node) Stop() {
-	if !n.running {
-		return
-	}
-	n.running = false
-	n.ticker.Stop()
-	// Retire this node's residue from the shared RVP gauge.
 	if m := n.m; m != nil && n.lastRVPCount != 0 {
 		m.RVPs.Add(int64(-n.lastRVPCount))
 		n.lastRVPCount = 0
@@ -377,8 +356,9 @@ func (n *Node) selfDescriptor() view.Descriptor {
 	return view.Descriptor{ID: n.self, Endpoint: n.ep, Nat: n.nat}
 }
 
-// runRound drives one gossip round through the exchange engine.
-func (n *Node) runRound() { n.eng.RunRound((*policy)(n)) }
+// RunRound implements pss.Protocol: one gossip round through the
+// exchange engine.
+func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
 
 // policy adapts the node to the exchange engine's strategy hooks.
 type policy Node
@@ -646,9 +626,9 @@ func (n *Node) partnerExt(partner addr.NodeID, partnerEP addr.Endpoint) *view.Ex
 	return &view.Ext{Via: partner, ViaEndpoint: partnerEP}
 }
 
-// HandlePacket is the socket handler. Payloads are pooled and recycled
+// HandlePacket implements pss.Protocol. Payloads are pooled and recycled
 // once the handler returns; everything kept is copied by the merges.
-func (n *Node) HandlePacket(pkt simnet.Packet) {
+func (n *Node) HandlePacket(pkt wire.Packet) {
 	switch m := pkt.Msg.(type) {
 	case *ShuffleReq:
 		n.handleReq(pkt.From, m)
@@ -763,7 +743,6 @@ func (n *Node) handleKeepAliveAck(m *KeepAliveAck) {
 }
 
 var (
-	_ pss.Protocol        = (*Node)(nil)
-	_ pss.SelectionTraced = (*Node)(nil)
-	_ exchange.Protocol   = (*policy)(nil)
+	_ pss.Protocol      = (*Node)(nil)
+	_ exchange.Protocol = (*policy)(nil)
 )

@@ -1,6 +1,7 @@
 package nylon
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 type rig struct {
@@ -27,6 +29,10 @@ func newRig(t *testing.T) *rig {
 	}
 	return &rig{sched: sched, net: n}
 }
+
+// rng draws a node's private stream from the rig's scheduler stream,
+// the way internal/world seeds the nodes it builds.
+func (r *rig) rng() *rand.Rand { return sim.NewRand(r.sched.Rand().Int63()) }
 
 func (r *rig) pubNode(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *Node {
 	t.Helper()
@@ -49,7 +55,7 @@ func (r *rig) priNode(t *testing.T, id addr.NodeID, seeds []view.Descriptor) *No
 func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds []view.Descriptor) *Node {
 	t.Helper()
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
@@ -57,7 +63,7 @@ func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds [
 	if gw := h.Gateway(); gw != nil {
 		ep = addr.Endpoint{IP: gw.PublicIP(), Port: 100}
 	}
-	n, err = New(DefaultConfig(), r.sched, sock, natType, ep, seeds)
+	n, err = New(DefaultConfig(), h.ID(), r.rng(), sock, natType, ep, seeds)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -104,7 +110,7 @@ func TestDirectExchangeCreatesRVPs(t *testing.T) {
 	b := r.pubNode(t, 2, nil)
 	a.view.Add(descOf(b))
 
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 
 	if a.RVPCount() != 1 {
@@ -122,7 +128,7 @@ func TestHolePunchThroughOneHop(t *testing.T) {
 	hub := r.pubNode(t, 1, nil)
 	priv := r.priNode(t, 2, []view.Descriptor{descOf(hub)})
 
-	priv.runRound() // priv <-> hub exchange; both become RVPs
+	priv.RunRound() // priv <-> hub exchange; both become RVPs
 	r.sched.Run()
 	if hub.RVPCount() == 0 {
 		t.Fatal("hub has no RVP after direct exchange")
@@ -134,7 +140,7 @@ func TestHolePunchThroughOneHop(t *testing.T) {
 	d.Ext = &view.Ext{Via: hub.self, ViaEndpoint: hub.ep}
 	requester.view.Add(d)
 
-	requester.runRound()
+	requester.RunRound()
 	r.sched.Run()
 
 	if !priv.view.Contains(3) {
@@ -157,8 +163,8 @@ func TestPrivateToPrivateHolePunch(t *testing.T) {
 	a := r.priNode(t, 2, []view.Descriptor{descOf(hub)})
 	b := r.priNode(t, 3, []view.Descriptor{descOf(hub)})
 
-	a.runRound() // a <-> hub
-	b.runRound() // b <-> hub
+	a.RunRound() // a <-> hub
+	b.RunRound() // b <-> hub
 	r.sched.Run()
 
 	// Give b view content to hand back in its response.
@@ -176,7 +182,7 @@ func TestPrivateToPrivateHolePunch(t *testing.T) {
 		}
 	}
 
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 
 	if !b.view.Contains(2) {
@@ -196,7 +202,7 @@ func TestShuffleFailsWithoutRoute(t *testing.T) {
 	r := newRig(t)
 	orphan := view.Descriptor{ID: 99, Endpoint: addr.Endpoint{IP: 9, Port: 9}, Nat: addr.Private}
 	n := r.pubNode(t, 1, []view.Descriptor{orphan})
-	n.runRound()
+	n.RunRound()
 	r.sched.Run()
 	if n.FailedShuffles() != 1 {
 		t.Fatalf("failed shuffles = %d, want 1", n.FailedShuffles())
@@ -207,7 +213,7 @@ func TestPunchTimesOutThroughBrokenChain(t *testing.T) {
 	r := newRig(t)
 	hub := r.pubNode(t, 1, nil)
 	priv := r.priNode(t, 2, []view.Descriptor{descOf(hub)})
-	priv.runRound()
+	priv.RunRound()
 	r.sched.Run()
 
 	requester := r.pubNode(t, 3, nil)
@@ -216,11 +222,11 @@ func TestPunchTimesOutThroughBrokenChain(t *testing.T) {
 	requester.view.Add(d)
 
 	r.net.Remove(1) // the chain hop dies
-	requester.runRound()
+	requester.RunRound()
 	r.sched.Run()
 	// Run enough rounds for the pending punch to expire.
 	for i := 0; i <= requester.cfg.PendingTTL+1; i++ {
-		requester.runRound()
+		requester.RunRound()
 		r.sched.Run()
 	}
 	if requester.FailedShuffles() == 0 {
@@ -250,7 +256,7 @@ func TestKeepAliveRefreshesRVP(t *testing.T) {
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
 	a.view.Add(descOf(b))
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 
 	// Idle past the TTL but with keep-alives flowing: RVPs survive.
@@ -269,7 +275,7 @@ func TestRVPExpiresWithoutKeepAlive(t *testing.T) {
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
 	a.view.Add(descOf(b))
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 	if a.RVPCount() != 1 {
 		t.Fatalf("RVP count = %d, want 1", a.RVPCount())
@@ -323,13 +329,13 @@ func TestMaxRVPsEvictsLeastRecentlyRefreshed(t *testing.T) {
 		t.Fatalf("AddPublicHost: %v", err)
 	}
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
 	cfg := DefaultConfig()
 	cfg.MaxRVPs = 3
-	n, err = New(cfg, r.sched, sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
+	n, err = New(cfg, h.ID(), r.rng(), sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -462,7 +468,7 @@ func TestRVPEvents(t *testing.T) {
 		bEvents = append(bEvents, ev{peer, established})
 	})
 
-	a.runRound()
+	a.RunRound()
 	r.sched.Run()
 	if len(aEvents) != 1 || aEvents[0] != (ev{2, true}) {
 		t.Fatalf("requester events = %v, want [(2,true)]", aEvents)
@@ -501,13 +507,13 @@ func TestRVPEventsOnCapacityEviction(t *testing.T) {
 		t.Fatalf("AddPublicHost: %v", err)
 	}
 	var n *Node
-	sock, err := h.Bind(100, func(p simnet.Packet) { n.HandlePacket(p) })
+	sock, err := h.Bind(100, func(p wire.Packet) { n.HandlePacket(p) })
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
 	cfg := DefaultConfig()
 	cfg.MaxRVPs = 2
-	n, err = New(cfg, r.sched, sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
+	n, err = New(cfg, h.ID(), r.rng(), sock, addr.Public, addr.Endpoint{IP: h.IP(), Port: 100}, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

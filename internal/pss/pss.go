@@ -1,7 +1,7 @@
 // Package pss defines what every peer-sampling protocol in this
-// repository has in common: the Protocol interface the experiment
-// harness drives, the shared parameter set from the paper's experimental
-// setup (§VII-A), and the periodic round ticker.
+// repository has in common: the Protocol interface every driver
+// programs against, the shared parameter set from the paper's
+// experimental setup (§VII-A), and the shared instrument sets.
 package pss
 
 import (
@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/exchange"
-	"repro/internal/sim"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // Params are the gossip parameters shared by all four systems, defaulted
@@ -45,7 +45,16 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Protocol is a running peer-sampling instance on one node. The
+// Protocol is one node's peer-sampling instance: a round-driven state
+// machine that owns no clock and no socket. All four systems implement
+// it and are built by one constructor shape,
+//
+//	New(cfg, id, rng, transport, natType, selfEP, seeds)
+//
+// (croupier's is named NewWithTransport). The driver — internal/world
+// under simulated time, deploy.Node on UDP — calls RunRound once per
+// gossip period and HandlePacket for every received message, all from
+// one goroutine; every protocol timeout is counted in rounds. The
 // experiment harness and the example applications program against this
 // interface only, so any of the four systems can back them.
 type Protocol interface {
@@ -58,67 +67,23 @@ type Protocol interface {
 	// Neighbors snapshots the node's current partial view(s), the
 	// edges of the overlay graph used by the randomness metrics.
 	Neighbors() []view.Descriptor
-	// Start begins periodic gossiping.
-	Start()
-	// Stop halts gossiping. A stopped protocol stays queryable.
+
+	// RunRound executes one gossip round.
+	RunRound()
+	// HandlePacket dispatches one received message. Payloads are
+	// pooled: the node copies whatever it keeps.
+	HandlePacket(pkt wire.Packet)
+	// Stop retires the node's residue from the shared occupancy gauges
+	// once its driver has stopped ticking it. A stopped protocol stays
+	// queryable.
 	Stop()
-}
 
-// SelectionTraced is implemented by protocol nodes whose partner
-// selections can be recorded into a shared exchange.Trace — all four
-// systems in this repository. The world wires a configured trace
-// through this interface at protocol start, the same way it wires the
-// shared Metrics; internal/randcheck turns the recorded log into
-// statistical uniformity verdicts.
-type SelectionTraced interface {
-	// SetSelectionTrace installs the (typically world-shared) trace;
-	// nil detaches it. Call before the node starts gossiping.
+	// The setters wire a node into its driver; call them before the
+	// first round. SetRebootstrap installs the callback queried for
+	// fresh seeds when the view drains; SetMetrics the (typically
+	// world-shared) instrument set; SetSelectionTrace the partner-
+	// selection log internal/randcheck analyses. Nil detaches each.
+	SetRebootstrap(fn func() []view.Descriptor)
+	SetMetrics(m *Metrics)
 	SetSelectionTrace(t *exchange.Trace)
-}
-
-// Ticker drives periodic protocol rounds on the simulation scheduler.
-// The first tick fires after a phase offset (nodes are not synchronised
-// in real deployments), then every period.
-//
-// Ticks ride the scheduler's pooled fire-and-forget path with a tick
-// closure built once at construction, so a running ticker allocates
-// nothing per round. Stopping does not cancel the queued tick — it
-// fires once more as a no-op and is recycled.
-type Ticker struct {
-	sched   *sim.Scheduler
-	period  time.Duration
-	fn      func()
-	tickFn  func() // cached method value, scheduled every period
-	stopped bool
-}
-
-// StartTicker schedules fn every period, first firing after phase.
-func StartTicker(sched *sim.Scheduler, period, phase time.Duration, fn func()) *Ticker {
-	t := &Ticker{sched: sched, period: period, fn: fn}
-	t.tickFn = t.tick
-	sched.Schedule(phase, t.tickFn)
-	return t
-}
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.sched.Schedule(t.period, t.tickFn)
-	t.fn()
-}
-
-// Stop suppresses future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-}
-
-// RandomPhase draws a uniform phase offset in [0, period) from the
-// scheduler's random source, desynchronising node rounds the way real
-// deployments are desynchronised.
-func RandomPhase(sched *sim.Scheduler, period time.Duration) time.Duration {
-	if period <= 0 {
-		return 0
-	}
-	return time.Duration(sched.Rand().Int63n(int64(period)))
 }

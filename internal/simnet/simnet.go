@@ -25,40 +25,20 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nat"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
-// Message is an application payload. Size must return the encoded body
-// length in bytes; the network adds HeaderBytes of IP/UDP framing on top
-// for traffic accounting.
-type Message interface {
-	Size() int
-}
-
-// Packet is what a socket handler receives. From is the source endpoint
-// as observed by the receiver (post-NAT translation), so replying to
-// From always traverses the reverse path.
-type Packet struct {
-	From addr.Endpoint
-	To   addr.Endpoint
-	Msg  Message
-}
+// The message contract lives in internal/wire, below every carrier.
+type Message = wire.Message       // bench/ is the only remaining user of this alias
+type Packet = wire.Packet         // bench/ is the only remaining user of this alias
+type Releasable = wire.Releasable // bench/ is the only remaining user of this alias
 
 // Handler consumes packets delivered to a bound socket.
-type Handler func(pkt Packet)
-
-// Releasable is implemented by pooled messages (internal/exchange).
-// Send transfers ownership of the message to the network, which calls
-// Release exactly once: after the receive handler returns, or when the
-// packet is dropped. Handlers must copy anything they keep and must not
-// re-send a received pooled message — to forward a nested payload, nil
-// the wrapper's field so the wrapper's Release leaves it alone.
-type Releasable interface {
-	Release()
-}
+type Handler func(pkt wire.Packet)
 
 // release recycles a pooled message at the end of its flight.
-func release(msg Message) {
-	if r, ok := msg.(Releasable); ok {
+func release(msg wire.Message) {
+	if r, ok := msg.(wire.Releasable); ok {
 		r.Release()
 	}
 }
@@ -195,7 +175,7 @@ type xfer struct {
 	srcHost *Host
 	dstHost *Host
 	src, to addr.Endpoint
-	msg     Message
+	msg     wire.Message
 	size    uint64
 }
 
@@ -266,7 +246,7 @@ type delivery struct {
 	srcHost *Host
 	dstHost *Host
 	src, to addr.Endpoint
-	msg     Message
+	msg     wire.Message
 	size    uint64
 	run     func()
 }
@@ -859,11 +839,11 @@ func (s *Socket) Host() *Host { return s.host }
 
 // Send transmits msg to the destination endpoint. Sends from dead hosts
 // vanish; everything else is accounted and scheduled for delivery.
-func (s *Socket) Send(to addr.Endpoint, msg Message) {
+func (s *Socket) Send(to addr.Endpoint, msg wire.Message) {
 	s.host.net.send(s.host, s.LocalEndpoint(), to, msg)
 }
 
-func (n *Network) send(h *Host, from, to addr.Endpoint, msg Message) {
+func (n *Network) send(h *Host, from, to addr.Endpoint, msg wire.Message) {
 	if !h.up {
 		release(msg)
 		return
@@ -999,5 +979,5 @@ func (n *Network) deliver(d *delivery) {
 	// under the sender's actor on the receiver's shard — and per-actor
 	// sequence numbers would depend on the shard layout.
 	ctx.sched.SetActor(int32(h.id - 1))
-	fn(Packet{From: src, To: to, Msg: msg})
+	fn(wire.Packet{From: src, To: to, Msg: msg})
 }

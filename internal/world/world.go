@@ -19,7 +19,6 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/croupier"
 	"repro/internal/cyclon"
-	"repro/internal/deploy"
 	"repro/internal/exchange"
 	"repro/internal/gozar"
 	"repro/internal/graph"
@@ -33,6 +32,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/view"
+	"repro/internal/wire"
 )
 
 // Well-known simulated ports.
@@ -56,18 +56,74 @@ const (
 
 // String returns the system name as used in the paper's figures.
 func (k Kind) String() string {
-	switch k {
-	case KindCroupier:
-		return "croupier"
-	case KindCyclon:
-		return "cyclon"
-	case KindGozar:
-		return "gozar"
-	case KindNylon:
-		return "nylon"
-	default:
-		return "unknown"
+	if k > 0 && int(k) < len(kinds) {
+		return kinds[k].name
 	}
+	return "unknown"
+}
+
+// protoArgs are the constructor arguments every system shares (see
+// pss.Protocol), assembled once per node by startProtocol.
+type protoArgs struct {
+	id    addr.NodeID
+	rng   *rand.Rand
+	tr    exchange.Transport
+	nat   addr.NatType
+	ep    addr.Endpoint
+	seeds []view.Descriptor
+}
+
+// kinds is everything the world knows about each system, one row per
+// Kind: its name, and how to build one node of it from the shared
+// arguments — the system's Config field (zero selects its defaults),
+// its constructor, and any hook only that system has. build also
+// reports the round period the world ticks the node at. Adding or
+// removing a system touches one row.
+var kinds = [...]struct {
+	name  string
+	build func(w *World, a protoArgs) (pss.Protocol, time.Duration, error)
+}{
+	KindCroupier: {"croupier", func(w *World, a protoArgs) (pss.Protocol, time.Duration, error) {
+		cfg := w.Cfg.Croupier
+		if cfg.Params.ViewSize == 0 {
+			cfg = croupier.DefaultConfig()
+		}
+		if cfg.Origins == nil {
+			cfg.Origins = w.origins
+		}
+		n, err := croupier.NewWithTransport(cfg, a.id, a.rng, a.tr, a.nat, a.ep, a.seeds)
+		return n, cfg.Params.Period, err
+	}},
+	KindCyclon: {"cyclon", func(w *World, a protoArgs) (pss.Protocol, time.Duration, error) {
+		cfg := w.Cfg.Cyclon
+		if cfg.Params.ViewSize == 0 {
+			cfg = cyclon.DefaultConfig()
+		}
+		n, err := cyclon.New(cfg, a.id, a.rng, a.tr, a.nat, a.ep, a.seeds)
+		return n, cfg.Params.Period, err
+	}},
+	KindGozar: {"gozar", func(w *World, a protoArgs) (pss.Protocol, time.Duration, error) {
+		cfg := w.Cfg.Gozar
+		if cfg.Params.ViewSize == 0 {
+			cfg = gozar.DefaultConfig()
+		}
+		n, err := gozar.New(cfg, a.id, a.rng, a.tr, a.nat, a.ep, a.seeds)
+		if err == nil && w.failover != nil {
+			n.SetRelayEvents(w.failover.OnRelayEvents)
+		}
+		return n, cfg.Params.Period, err
+	}},
+	KindNylon: {"nylon", func(w *World, a protoArgs) (pss.Protocol, time.Duration, error) {
+		cfg := w.Cfg.Nylon
+		if cfg.Params.ViewSize == 0 {
+			cfg = nylon.DefaultConfig()
+		}
+		n, err := nylon.New(cfg, a.id, a.rng, a.tr, a.nat, a.ep, a.seeds)
+		if err == nil && w.failover != nil {
+			n.SetRVPEvents(w.failover.OnRVPEvent)
+		}
+		return n, cfg.Params.Period, err
+	}},
 }
 
 // Config describes a deployment.
@@ -139,8 +195,10 @@ type Node struct {
 	JoinedAt time.Duration
 
 	alive    bool
-	dispatch func(simnet.Packet)
-	natidEnv *natid.SimEnv
+	natidEnv *natidEnv
+	// ticker drives Proto.RunRound on the node's shard; the world owns
+	// time, the protocol instance only counts rounds.
+	ticker *sim.Ticker
 	// shard is the kernel shard the node executes on; rng is the node's
 	// private stream for event-time world draws (re-bootstrap, natid
 	// forwarder picks), seeded from the world stream at join so draws
@@ -183,7 +241,7 @@ type worldShard struct {
 type deferredStart struct {
 	n    *Node
 	sock *simnet.Socket
-	res  natid.Result
+	nat  addr.NatType
 }
 
 // World is a complete simulated deployment.
@@ -229,13 +287,13 @@ type World struct {
 
 	// failover translates the gozar relay-set and nylon RVP lifecycle
 	// hooks into the deploy_* counter series; nil when uninstrumented.
-	failover *deploy.FailoverMetrics
+	failover *pss.FailoverMetrics
 }
 
 // New builds an empty world.
 func New(cfg Config) (*World, error) {
-	if cfg.Kind == 0 {
-		return nil, fmt.Errorf("world: protocol kind is required")
+	if cfg.Kind <= 0 || int(cfg.Kind) >= len(kinds) {
+		return nil, fmt.Errorf("world: unknown protocol kind %d (a kind is required)", cfg.Kind)
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = latency.NewKingLike(cfg.Seed)
@@ -291,7 +349,7 @@ func New(cfg Config) (*World, error) {
 				// paths produce identical logs.
 				ws.trace = cfg.SelectionTrace
 			} else {
-				ws.trace = cfg.SelectionTrace.Shard(ws.sched)
+				ws.trace = cfg.SelectionTrace.Shard(ws.sched.Now)
 			}
 		}
 		w.shards[i] = ws
@@ -310,7 +368,7 @@ func New(cfg Config) (*World, error) {
 	}
 	if cfg.Registry != nil {
 		w.protoMetrics = pss.NewMetrics(cfg.Registry, cfg.Kind.String())
-		w.failover = deploy.NewFailoverMetrics(cfg.Registry)
+		w.failover = pss.NewFailoverMetrics(cfg.Registry)
 	}
 	return w, nil
 }
@@ -342,7 +400,7 @@ func (w *World) drainStarts(time.Duration) {
 	})
 	for i := range all {
 		if n := all[i].n; n.alive {
-			w.startProtocol(n, all[i].sock, all[i].res.Type, all[i].res.ViaUPnP)
+			w.startProtocol(n, all[i].sock, all[i].nat)
 		}
 		all[i] = deferredStart{}
 	}
@@ -392,10 +450,10 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 	}
 
 	// Bind the protocol port now; the protocol instance arrives after
-	// identification and is reached through the dispatch indirection.
-	protoSock, err := host.Bind(ProtoPort, func(pkt simnet.Packet) {
-		if n.dispatch != nil {
-			n.dispatch(pkt)
+	// identification, and packets reaching the port earlier are dropped.
+	protoSock, err := host.Bind(ProtoPort, func(pkt wire.Packet) {
+		if n.Proto != nil {
+			n.Proto.HandlePacket(pkt)
 		}
 	})
 	if err != nil {
@@ -408,12 +466,10 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 	// entirely — at 50k nodes the join wave is a hot path, and these
 	// were a pure per-join construction tax.
 	if !w.Cfg.SkipNatID {
-		env := &natid.SimEnv{}
-		natSock, err := host.Bind(NatIDPort, env.Dispatch)
-		if err != nil {
+		env := &natidEnv{sched: w.shards[sh].sched}
+		if env.sock, err = host.Bind(NatIDPort, env.handle); err != nil {
 			return nil, fmt.Errorf("world: bind natid: %w", err)
 		}
-		env.Init(w.shards[sh].sched, natSock)
 		n.natidEnv = env
 	}
 
@@ -431,13 +487,13 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 		// port mapping and turn public — identification is always
 		// correct for the emulated gateways, so skipping it must not
 		// change protocol behaviour.
-		typ, viaUPnP := declared, false
+		typ := declared
 		if upnp && host.Gateway() != nil && host.Gateway().SupportsUPnP() {
 			if _, err := mapServicePorts(host.Gateway(), host.IP()); err == nil {
-				typ, viaUPnP = addr.Public, true
+				typ = addr.Public
 			}
 		}
-		w.startProtocol(n, protoSock, typ, viaUPnP)
+		w.startProtocol(n, protoSock, typ)
 		return n, nil
 	}
 	helpers := w.Boot.PublicsInto(w.Sched.Rand(), probeN, id, w.seedBuf)
@@ -464,7 +520,7 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 		// Protocol construction draws from the world RNG and registers
 		// with the bootstrap directory, so it is deferred to the next
 		// barrier, where starts drain in ID order.
-		ws.pendingStarts = append(ws.pendingStarts, deferredStart{n: n, sock: protoSock, res: res})
+		ws.pendingStarts = append(ws.pendingStarts, deferredStart{n: n, sock: protoSock, nat: res.Type})
 	})
 	n.natidEnv.SetClient(client)
 	// The probes and the identification timeout are the node's own
@@ -475,9 +531,11 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 	return n, nil
 }
 
-// startProtocol constructs and starts the protocol instance once the
-// node's NAT type is known.
-func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType, viaUPnP bool) {
+// startProtocol constructs the node's protocol instance once its NAT
+// type is known, and starts ticking it. The world stream is drawn in a
+// fixed order — bootstrap seeds, the node's rng seed, the ticker phase —
+// which every golden in the repository pins.
+func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType) {
 	// Construction runs at a barrier (a join or a drained natid
 	// completion) but schedules the node's gossip ticker: those acts
 	// belong to the node's counter stream on its shard.
@@ -486,63 +544,22 @@ func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType
 	defer ws.sched.SetActor(prevActor)
 
 	n.Nat = natType
-	n.Endpoint = w.advertisedEndpoint(n, viaUPnP)
+	n.Endpoint = advertisedEndpoint(n)
 
 	// Seeds are drawn into the world's reusable scratch; every protocol
 	// constructor copies them into its views before returning.
 	seeds := w.Boot.PublicsInto(w.Sched.Rand(), w.Cfg.BootstrapPublics, n.ID, w.seedBuf)
 	w.seedBuf = seeds
-	var (
-		proto    pss.Protocol
-		dispatch func(simnet.Packet)
-		err      error
-	)
-	switch w.Cfg.Kind {
-	case KindCroupier:
-		cfg := w.Cfg.Croupier
-		if cfg.Params.ViewSize == 0 {
-			cfg = croupier.DefaultConfig()
-		}
-		if cfg.Origins == nil {
-			cfg.Origins = w.origins
-		}
-		var node *croupier.Node
-		node, err = croupier.New(cfg, ws.sched, sock, natType, n.Endpoint, seeds)
-		proto, dispatch = node, node.HandlePacket
-	case KindCyclon:
-		cfg := w.Cfg.Cyclon
-		if cfg.Params.ViewSize == 0 {
-			cfg = cyclon.DefaultConfig()
-		}
-		var node *cyclon.Node
-		node, err = cyclon.New(cfg, ws.sched, sock, n.Endpoint, seeds)
-		proto, dispatch = node, node.HandlePacket
-	case KindGozar:
-		cfg := w.Cfg.Gozar
-		if cfg.Params.ViewSize == 0 {
-			cfg = gozar.DefaultConfig()
-		}
-		var node *gozar.Node
-		node, err = gozar.New(cfg, ws.sched, sock, natType, n.Endpoint, seeds)
-		proto, dispatch = node, node.HandlePacket
-	case KindNylon:
-		cfg := w.Cfg.Nylon
-		if cfg.Params.ViewSize == 0 {
-			cfg = nylon.DefaultConfig()
-		}
-		var node *nylon.Node
-		node, err = nylon.New(cfg, ws.sched, sock, natType, n.Endpoint, seeds)
-		proto, dispatch = node, node.HandlePacket
-	default:
-		err = fmt.Errorf("world: unknown kind %d", w.Cfg.Kind)
-	}
+	proto, period, err := kinds[w.Cfg.Kind].build(w, protoArgs{
+		id: n.ID, rng: sim.NewRand(ws.sched.Rand().Int63()), tr: sock,
+		nat: natType, ep: n.Endpoint, seeds: seeds,
+	})
 	if err != nil {
 		// Joins are programmatic; a failure here is a configuration
 		// bug surfaced deterministically in tests.
 		panic(err)
 	}
 	n.Proto = proto
-	n.dispatch = dispatch
 
 	// Nodes that drain their view (joined before any public existed, or
 	// lost every known croupier) re-query the bootstrap directory, as
@@ -551,35 +568,14 @@ func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType
 	// shard's scratch (the directory itself is only read). Every
 	// protocol's re-bootstrap path copies the descriptors it keeps
 	// before the shard's next draw can happen.
-	reseed := func() []view.Descriptor {
+	proto.SetRebootstrap(func() []view.Descriptor {
 		out, picks := w.Boot.PublicsScratch(n.rng, w.Cfg.BootstrapPublics, n.ID, ws.seedBuf, ws.picks)
 		ws.seedBuf, ws.picks = out, picks
 		return out
-	}
-	switch p := proto.(type) {
-	case *croupier.Node:
-		p.SetRebootstrap(reseed)
-		p.SetMetrics(w.protoMetrics)
-	case *cyclon.Node:
-		p.SetRebootstrap(reseed)
-		p.SetMetrics(w.protoMetrics)
-	case *gozar.Node:
-		p.SetRebootstrap(reseed)
-		p.SetMetrics(w.protoMetrics)
-		if w.failover != nil {
-			p.SetRelayEvents(w.failover.OnRelayEvents)
-		}
-	case *nylon.Node:
-		p.SetRebootstrap(reseed)
-		p.SetMetrics(w.protoMetrics)
-		if w.failover != nil {
-			p.SetRVPEvents(w.failover.OnRVPEvent)
-		}
-	}
+	})
+	proto.SetMetrics(w.protoMetrics)
 	if ws.trace != nil {
-		if tp, ok := proto.(pss.SelectionTraced); ok {
-			tp.SetSelectionTrace(ws.trace)
-		}
+		proto.SetSelectionTrace(ws.trace)
 	}
 
 	if natType == addr.Public {
@@ -591,7 +587,7 @@ func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType
 			n.natidEnv.SetServer(natid.NewServer(n.natidEnv, w.pickForwarder(n)))
 		}
 	}
-	proto.Start()
+	n.ticker = sim.StartTicker(ws.sched, period, sim.RandomPhase(ws.sched, period), proto.RunRound)
 }
 
 // mapServicePorts installs UPnP mappings for both well-known service
@@ -606,20 +602,16 @@ func mapServicePorts(gw *nat.Gateway, ip addr.IP) (addr.Endpoint, error) {
 }
 
 // advertisedEndpoint computes the endpoint a node puts in its own
-// descriptor. Public hosts use their interface address; UPnP nodes the
-// mapped port; NATed hosts their reflexive endpoint, which is stable and
-// predictable under endpoint-independent mapping with port preservation
-// (production systems learn it STUN-style from shuffle partners; see
-// DESIGN.md).
-func (w *World) advertisedEndpoint(n *Node, viaUPnP bool) addr.Endpoint {
-	gw := n.Host.Gateway()
-	if gw == nil {
-		return addr.Endpoint{IP: n.Host.IP(), Port: ProtoPort}
-	}
-	if viaUPnP {
+// descriptor. Public hosts use their interface address; hosts behind a
+// gateway the gateway's address at the protocol port — the UPnP-mapped
+// port, or the reflexive endpoint, which is stable and predictable
+// under endpoint-independent mapping with port preservation (production
+// systems learn it STUN-style from shuffle partners).
+func advertisedEndpoint(n *Node) addr.Endpoint {
+	if gw := n.Host.Gateway(); gw != nil {
 		return addr.Endpoint{IP: gw.PublicIP(), Port: ProtoPort}
 	}
-	return addr.Endpoint{IP: gw.PublicIP(), Port: ProtoPort}
+	return addr.Endpoint{IP: n.Host.IP(), Port: ProtoPort}
 }
 
 // pickForwarder builds a natid forwarder picker backed by the bootstrap
@@ -655,6 +647,7 @@ func (w *World) Fail(id addr.NodeID) {
 	}
 	n.alive = false
 	if n.Proto != nil {
+		n.ticker.Stop()
 		n.Proto.Stop()
 	}
 	w.Net.Remove(id)

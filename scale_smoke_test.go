@@ -2,8 +2,8 @@
 // gossip rounds through the calendar-queue scheduler and the dense
 // network tables, and probe the overlay through the reusable snapshot
 // path. This is the every-push CI guard that the large-N construction
-// and round paths keep working; the actual performance numbers live in
-// BENCH_4.json, regenerated by scripts/bench.sh.
+// and round paths keep working; the performance numbers come from the
+// steady_* workloads of bench/ (see bench/README.md).
 package repro_test
 
 import (
