@@ -72,18 +72,6 @@ func run(args []string) error {
 	}
 }
 
-func parseEndpoint(s string) (addr.Endpoint, error) {
-	udp, err := net.ResolveUDPAddr("udp4", s)
-	if err != nil {
-		return addr.Endpoint{}, fmt.Errorf("bad endpoint %q: %w", s, err)
-	}
-	v4 := udp.IP.To4()
-	if v4 == nil {
-		return addr.Endpoint{}, fmt.Errorf("endpoint %q is not IPv4", s)
-	}
-	return addr.Endpoint{IP: addr.MakeIP(v4[0], v4[1], v4[2], v4[3]), Port: uint16(udp.Port)}, nil
-}
-
 func runBootstrap(args []string) error {
 	fs := flag.NewFlagSet("bootstrap", flag.ContinueOnError)
 	listen := fs.String("listen", "0.0.0.0:7000", "UDP address to listen on")
@@ -118,7 +106,7 @@ func runNode(args []string) error {
 	if *directory == "" {
 		return fmt.Errorf("-directory is required")
 	}
-	dir, err := parseEndpoint(*directory)
+	dir, err := addr.ParseEndpoint(*directory)
 	if err != nil {
 		return err
 	}
@@ -133,7 +121,7 @@ func runNode(args []string) error {
 	}
 	var adv addr.Endpoint
 	if *advertise != "" {
-		adv, err = parseEndpoint(*advertise)
+		adv, err = addr.ParseEndpoint(*advertise)
 		if err != nil {
 			return err
 		}

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
@@ -59,21 +58,6 @@ func run(args []string) error {
 	}
 }
 
-func parseEndpoint(s string) (addr.Endpoint, error) {
-	udp, err := net.ResolveUDPAddr("udp4", s)
-	if err != nil {
-		return addr.Endpoint{}, fmt.Errorf("bad endpoint %q: %w", s, err)
-	}
-	v4 := udp.IP.To4()
-	if v4 == nil {
-		return addr.Endpoint{}, fmt.Errorf("endpoint %q is not IPv4", s)
-	}
-	return addr.Endpoint{
-		IP:   addr.MakeIP(v4[0], v4[1], v4[2], v4[3]),
-		Port: uint16(udp.Port),
-	}, nil
-}
-
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	listen := fs.String("listen", "0.0.0.0:3478", "UDP address to listen on")
@@ -89,7 +73,7 @@ func serve(args []string) error {
 
 	var fwd addr.Endpoint
 	if *forwarder != "" {
-		fwd, err = parseEndpoint(*forwarder)
+		fwd, err = addr.ParseEndpoint(*forwarder)
 		if err != nil {
 			return err
 		}
@@ -123,7 +107,7 @@ func probe(args []string) error {
 	}
 	var all []addr.Endpoint
 	for _, h := range strings.Split(*helpers, ",") {
-		ep, err := parseEndpoint(strings.TrimSpace(h))
+		ep, err := addr.ParseEndpoint(strings.TrimSpace(h))
 		if err != nil {
 			return err
 		}

@@ -16,16 +16,19 @@ import (
 	"repro/internal/world"
 )
 
+// allKinds lists the four systems, for the tests that cover each.
+var allKinds = []world.Kind{world.KindCroupier, world.KindCyclon, world.KindGozar, world.KindNylon}
+
 // scenarioBytes serialises one scenario run into its exported TSV and
 // JSON forms — the byte-level identity the golden test compares. It
 // returns errors rather than failing the test because it runs inside
 // runner worker goroutines, where t.Fatal is not allowed.
-func scenarioBytes(kind world.Kind, seed int64) ([]byte, error) {
-	sc, err := scenario.Lookup("flashcrowd")
+func scenarioBytes(name string, cfg scenario.RunConfig) ([]byte, error) {
+	sc, err := scenario.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	res, err := scenario.Run(sc, scenario.RunConfig{Kind: kind, Seed: seed, Scale: 0.04})
+	res, err := scenario.Run(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -43,21 +46,20 @@ func scenarioBytes(kind world.Kind, seed int64) ([]byte, error) {
 // (protocol, seed) matrix twice — sequentially and under the parallel
 // runner — and requires byte-identical exports for every job.
 func TestParallelRunnerIsByteIdenticalAllProtocols(t *testing.T) {
-	kinds := []world.Kind{world.KindCroupier, world.KindCyclon, world.KindGozar, world.KindNylon}
 	seeds := []int64{1, 2}
 	type job struct {
 		kind world.Kind
 		seed int64
 	}
 	var jobs []job
-	for _, kind := range kinds {
+	for _, kind := range allKinds {
 		for _, seed := range seeds {
 			jobs = append(jobs, job{kind, seed})
 		}
 	}
 	run := func(workers int) [][]byte {
 		out, err := runner.Map(runner.Options{Workers: workers}, jobs, func(j job) ([]byte, error) {
-			return scenarioBytes(j.kind, j.seed)
+			return scenarioBytes("flashcrowd", scenario.RunConfig{Kind: j.kind, Seed: j.seed, Scale: 0.04})
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,8 @@ package addr
 
 import (
 	"fmt"
+	"net"
+	"net/netip"
 	"strconv"
 )
 
@@ -56,6 +58,38 @@ func (e Endpoint) String() string {
 
 // IsZero reports whether the endpoint is entirely unset.
 func (e Endpoint) IsZero() bool { return e.IP == 0 && e.Port == 0 }
+
+// FromAddrPort converts a real socket address — what the net package's
+// allocation-free ReadFromUDPAddrPort and (*net.UDPAddr).AddrPort
+// return — to an Endpoint. Anything but IPv4 (plain or IPv4-mapped)
+// yields the zero Endpoint.
+func FromAddrPort(a netip.AddrPort) Endpoint {
+	ip := a.Addr().Unmap()
+	if !ip.Is4() {
+		return Endpoint{}
+	}
+	v4 := ip.As4()
+	return Endpoint{IP: MakeIP(v4[0], v4[1], v4[2], v4[3]), Port: a.Port()}
+}
+
+// AddrPort is the inverse of FromAddrPort, for WriteToUDPAddrPort
+// (which allocates nothing, unlike a *net.UDPAddr destination).
+func (e Endpoint) AddrPort() netip.AddrPort {
+	ip := e.IP
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), e.Port)
+}
+
+// ParseEndpoint resolves a "host:port" string to an IPv4 endpoint.
+func ParseEndpoint(s string) (Endpoint, error) {
+	udp, err := net.ResolveUDPAddr("udp4", s)
+	if err != nil {
+		return Endpoint{}, fmt.Errorf("bad endpoint %q: %w", s, err)
+	}
+	if udp.IP.To4() == nil {
+		return Endpoint{}, fmt.Errorf("endpoint %q is not IPv4", s)
+	}
+	return FromAddrPort(udp.AddrPort()), nil
+}
 
 // NatType classifies a node's connectivity as discovered by the NAT-type
 // identification protocol (paper §V): a public node is globally reachable

@@ -1,6 +1,8 @@
 package addr
 
 import (
+	"net"
+	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -85,5 +87,38 @@ func TestMakeIPRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: an Endpoint survives the trip through a socket address, in
+// the plain and in the IPv4-mapped form *net.UDPAddr yields, and the
+// send-side conversion allocates nothing.
+func TestAddrPortRoundTrip(t *testing.T) {
+	f := func(ip uint32, port uint16) bool {
+		e := Endpoint{IP: IP(ip), Port: port}
+		mapped := (&net.UDPAddr{IP: net.IPv4(byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip)), Port: int(port)}).AddrPort()
+		return FromAddrPort(e.AddrPort()) == e && FromAddrPort(mapped) == e
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := FromAddrPort(netip.MustParseAddrPort("[2001:db8::1]:53")); !got.IsZero() {
+		t.Errorf("IPv6 source mapped to %v, want the zero endpoint", got)
+	}
+	e := Endpoint{IP: MakeIP(192, 0, 2, 1), Port: 7000}
+	if n := testing.AllocsPerRun(100, func() { _ = FromAddrPort(e.AddrPort()) }); n != 0 {
+		t.Errorf("conversion allocates %.0f objects per round trip", n)
+	}
+}
+
+func TestParseEndpoint(t *testing.T) {
+	got, err := ParseEndpoint("192.0.2.7:7000")
+	if want := (Endpoint{IP: MakeIP(192, 0, 2, 7), Port: 7000}); err != nil || got != want {
+		t.Fatalf("ParseEndpoint = %v, %v; want %v", got, err, want)
+	}
+	for _, bad := range []string{"", "192.0.2.7", ":7000", "[::1]:7000", "192.0.2.7:99999"} {
+		if _, err := ParseEndpoint(bad); err == nil {
+			t.Errorf("ParseEndpoint(%q) accepted", bad)
+		}
 	}
 }

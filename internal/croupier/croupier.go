@@ -982,8 +982,9 @@ func (n *Node) mergeEstimates(es []Estimate) {
 // (equation 8); private nodes average the cache alone (equation 9). It
 // reports false while the node has no estimation data at all.
 func (n *Node) Estimate() (float64, bool) {
-	// The store keeps insertion order, so the (non-associative) float
-	// summation is reproducible across identical runs.
+	// The store sums in slot order, a function of the node's history
+	// alone, so the (non-associative) float summation is reproducible
+	// across identical runs.
 	sum := n.estimates.sum()
 	cnt := n.estimates.len()
 	if n.nat == addr.Public && n.hasLocal {

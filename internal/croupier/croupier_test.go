@@ -112,15 +112,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNewRejectsUnknownNatType(t *testing.T) {
-	r := newRig(t)
-	h, _ := r.net.AddPublicHost(1)
-	sock, _ := h.Bind(100, func(wire.Packet) {})
-	if _, err := NewWithTransport(DefaultConfig(), h.ID(), r.rng(), sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
-		t.Fatal("New accepted unknown NAT type")
-	}
-}
-
 func TestSeedsPartitionByNatType(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, addr.Public, []view.Descriptor{pubDesc(2), priDesc(3), pubDesc(4)})

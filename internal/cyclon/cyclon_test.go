@@ -75,22 +75,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestNatTypeAlwaysPublic(t *testing.T) {
-	r := newRig(t)
-	n := r.node(t, 1, nil)
-	if n.NatType() != addr.Public {
-		t.Fatalf("NatType = %v, want public", n.NatType())
-	}
-}
-
 func TestRoundUsesTailSelection(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, []view.Descriptor{desc(2, 9), desc(3, 1)})
 	n.RunRound()
-	if n.view.Contains(2) {
+	if n.View.Contains(2) {
 		t.Fatal("oldest descriptor not removed on shuffle")
 	}
-	if !n.view.Contains(3) {
+	if !n.View.Contains(3) {
 		t.Fatal("younger descriptor removed")
 	}
 }
@@ -99,16 +91,16 @@ func TestTwoNodeExchange(t *testing.T) {
 	r := newRig(t)
 	a := r.node(t, 1, []view.Descriptor{desc(3, 0), desc(4, 0)})
 	b := r.node(t, 2, []view.Descriptor{desc(5, 0), desc(6, 0)})
-	a.view.Add(view.Descriptor{ID: 2, Endpoint: b.ep, Nat: addr.Public, Age: 50})
+	a.View.Add(view.Descriptor{ID: 2, Endpoint: b.SelfDescriptor().Endpoint, Nat: addr.Public, Age: 50})
 
 	a.RunRound()
 	r.sched.Run()
 
-	learnedFromB := a.view.Contains(5) || a.view.Contains(6)
+	learnedFromB := a.View.Contains(5) || a.View.Contains(6)
 	if !learnedFromB {
 		t.Fatal("requester learned nothing")
 	}
-	if !b.view.Contains(1) {
+	if !b.View.Contains(1) {
 		t.Fatal("responder did not learn the requester")
 	}
 }
@@ -122,7 +114,7 @@ func TestSelfNeverEntersOwnView(t *testing.T) {
 		a.RunRound()
 		r.sched.Run()
 	}
-	if a.view.Contains(1) {
+	if a.View.Contains(1) {
 		t.Fatal("node added itself to its own view")
 	}
 }
@@ -131,7 +123,7 @@ func TestUnsolicitedResponseIgnored(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, nil)
 	n.HandlePacket(wire.Packet{Msg: &ShuffleRes{From: desc(9, 0), Pub: []view.Descriptor{desc(8, 0)}}})
-	if n.view.Contains(8) {
+	if n.View.Contains(8) {
 		t.Fatal("unsolicited response merged")
 	}
 }
@@ -162,7 +154,7 @@ func TestSampleUniformOverView(t *testing.T) {
 func TestTickerDrivesRounds(t *testing.T) {
 	r := newRig(t)
 	n := r.node(t, 1, []view.Descriptor{desc(2, 0)})
-	period := n.cfg.Params.Period
+	period := DefaultConfig().Params.Period
 	tk := sim.StartTicker(r.sched, period, sim.RandomPhase(r.sched, period), n.RunRound)
 	r.sched.RunUntil(3 * time.Second)
 	rounds := n.Rounds()
@@ -183,7 +175,7 @@ func TestDeadTargetPurgedByTailSelection(t *testing.T) {
 	n := r.node(t, 1, []view.Descriptor{desc(99, 50)}) // 99 does not exist
 	n.RunRound()
 	r.sched.Run()
-	if n.view.Contains(99) {
+	if n.View.Contains(99) {
 		t.Fatal("dead descriptor survived a shuffle attempt")
 	}
 }

@@ -58,11 +58,7 @@ func ListenBootstrap(address string, ttl time.Duration, seed int64) (*BootstrapS
 
 // Endpoint returns the directory's UDP endpoint.
 func (s *BootstrapServer) Endpoint() addr.Endpoint {
-	local, ok := s.conn.LocalAddr().(*net.UDPAddr)
-	if !ok {
-		return addr.Endpoint{}
-	}
-	return endpointFromUDP(local)
+	return addr.FromAddrPort(udpConn{s.conn}.LocalAddrPort())
 }
 
 // Count returns the number of live registrations.
@@ -88,7 +84,7 @@ func (s *BootstrapServer) serve() {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		size, from, err := s.conn.ReadFromUDP(buf)
+		size, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-s.done:
@@ -110,10 +106,10 @@ func (s *BootstrapServer) serve() {
 	}
 }
 
-func (s *BootstrapServer) register(d view.Descriptor, from *net.UDPAddr) {
+func (s *BootstrapServer) register(d view.Descriptor, from netip.AddrPort) {
 	// Trust the observed source address over the claimed one: a node
 	// behind a misconfigured NAT must not poison the directory.
-	observed := endpointFromUDP(from)
+	observed := addr.FromAddrPort(from)
 	observed.Port = d.Endpoint.Port
 	d.Endpoint = observed
 	s.mu.Lock()
@@ -122,7 +118,7 @@ func (s *BootstrapServer) register(d view.Descriptor, from *net.UDPAddr) {
 	s.lastSeen[d.ID] = time.Now()
 }
 
-func (s *BootstrapServer) answerList(m BootList, from *net.UDPAddr) {
+func (s *BootstrapServer) answerList(m BootList, from netip.AddrPort) {
 	s.mu.Lock()
 	s.expireLocked()
 	n := int(m.Max)
@@ -131,7 +127,7 @@ func (s *BootstrapServer) answerList(m BootList, from *net.UDPAddr) {
 	}
 	descs := s.dir.Publics(s.rng, n, 0)
 	s.mu.Unlock()
-	_, _ = s.conn.WriteToUDP(EncodeBootListRes(BootListRes{Descs: descs}), from)
+	_, _ = s.conn.WriteToUDPAddrPort(EncodeBootListRes(BootListRes{Descs: descs}), from)
 }
 
 func (s *BootstrapServer) expireLocked() {
@@ -155,8 +151,7 @@ func FetchPublics(directory addr.Endpoint, max int, timeout time.Duration) ([]vi
 	if max <= 0 || max > 255 {
 		max = 5
 	}
-	dst := udpFromEndpoint(directory)
-	if _, err := conn.WriteToUDP(EncodeBootList(BootList{Max: uint8(max)}), dst); err != nil {
+	if _, err := conn.WriteToUDPAddrPort(EncodeBootList(BootList{Max: uint8(max)}), directory.AddrPort()); err != nil {
 		return nil, fmt.Errorf("deploy: query directory: %w", err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -176,40 +171,4 @@ func FetchPublics(directory addr.Endpoint, max int, timeout time.Duration) ([]vi
 		return nil, fmt.Errorf("deploy: unexpected answer %T", msg)
 	}
 	return res.Descs, nil
-}
-
-func endpointFromUDP(a *net.UDPAddr) addr.Endpoint {
-	v4 := a.IP.To4()
-	if v4 == nil {
-		return addr.Endpoint{}
-	}
-	return addr.Endpoint{
-		IP:   addr.MakeIP(v4[0], v4[1], v4[2], v4[3]),
-		Port: uint16(a.Port),
-	}
-}
-
-func udpFromEndpoint(e addr.Endpoint) *net.UDPAddr {
-	return &net.UDPAddr{
-		IP:   net.IPv4(byte(e.IP>>24), byte(e.IP>>16), byte(e.IP>>8), byte(e.IP)),
-		Port: int(e.Port),
-	}
-}
-
-// endpointFromAddrPort converts a netip address (the allocation-free
-// form ReadFromUDPAddrPort returns) to a simulated-address endpoint.
-func endpointFromAddrPort(a netip.AddrPort) addr.Endpoint {
-	v4 := a.Addr().As4()
-	return addr.Endpoint{
-		IP:   addr.MakeIP(v4[0], v4[1], v4[2], v4[3]),
-		Port: a.Port(),
-	}
-}
-
-// addrPortFromEndpoint is the inverse conversion, used on the send
-// path (WriteToUDPAddrPort allocates nothing, unlike *net.UDPAddr).
-func addrPortFromEndpoint(e addr.Endpoint) netip.AddrPort {
-	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{
-		byte(e.IP >> 24), byte(e.IP >> 16), byte(e.IP >> 8), byte(e.IP),
-	}), e.Port)
 }

@@ -142,11 +142,10 @@ type Decoder struct {
 	pool exchange.Pool
 }
 
-// Decode parses a datagram like the package-level Decode, but draws
-// shuffle messages from the decoder's pool. Callers must Release them
-// (or hand them to a transport that does) to keep the path
-// allocation-free; the other message kinds are small control traffic
-// and are decoded normally.
+// Decode parses a datagram, drawing shuffle messages from the
+// decoder's pool. Callers must Release them (or hand them to a
+// transport that does) to keep the path allocation-free; the other
+// message kinds are small control traffic and are decoded by value.
 func (d *Decoder) Decode(b []byte) (any, error) {
 	r := wire.NewReader(b)
 	kind := r.U8()
@@ -173,7 +172,7 @@ func (d *Decoder) Decode(b []byte) (any, error) {
 	case kindBootList:
 		out = BootList{Max: r.U8()}
 	case kindBootListRes:
-		out = BootListRes{Descs: getDescriptors(r)}
+		out = BootListRes{Descs: appendDescriptors(r, nil)}
 	case kindKeepalive:
 		out = Keepalive{From: addr.NodeID(r.U64())}
 	default:
@@ -234,49 +233,12 @@ func appendEstimates(r *wire.Reader, dst []exchange.Estimate) []exchange.Estimat
 
 // Decode parses any deployment datagram into one of the message types
 // (*croupier.ShuffleReq, *croupier.ShuffleRes, BootRegister, BootList,
-// BootListRes). Decoded shuffle messages are freshly allocated and
-// unpooled, so their Release is a no-op; the deployment runtime's
-// receive path uses a Decoder instead, whose messages are pooled.
+// BootListRes, Keepalive) through a throwaway Decoder: nothing is
+// reused across calls, so callers need not Release what they get. The
+// deployment runtime's receive path keeps one Decoder instead.
 func Decode(b []byte) (any, error) {
-	r := wire.NewReader(b)
-	kind := r.U8()
-	var out any
-	switch kind {
-	case kindShuffleReq:
-		m := &croupier.ShuffleReq{}
-		decodeShuffle(r, &m.From, &m.Pub, &m.Pri, &m.Estimates)
-		out = m
-	case kindShuffleRes:
-		m := &croupier.ShuffleRes{}
-		decodeShuffle(r, &m.From, &m.Pub, &m.Pri, &m.Estimates)
-		out = m
-	case kindBootRegister:
-		out = BootRegister{Desc: getDescriptor(r)}
-	case kindBootList:
-		out = BootList{Max: r.U8()}
-	case kindBootListRes:
-		out = BootListRes{Descs: getDescriptors(r)}
-	case kindKeepalive:
-		out = Keepalive{From: addr.NodeID(r.U64())}
-	default:
-		return nil, fmt.Errorf("deploy: unknown message kind %d", kind)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("deploy: decode kind %d: %w", kind, err)
-	}
-	return out, nil
-}
-
-func decodeShuffle(r *wire.Reader, from *view.Descriptor, pub, pri *[]view.Descriptor, ests *[]croupier.Estimate) {
-	flags := r.U8()
-	*from = getDescriptor(r)
-	*pub = getDescriptors(r)
-	if flags&flagHasPri != 0 {
-		*pri = getDescriptors(r)
-	}
-	if flags&flagHasEstimates != 0 {
-		*ests = getEstimates(r)
-	}
+	var d Decoder
+	return d.Decode(b)
 }
 
 // putDescriptor writes id(8) + endpoint(6) + nat(1) + age(2).
@@ -313,21 +275,6 @@ func putDescriptors(w *wire.Writer, ds []view.Descriptor) {
 	}
 }
 
-func getDescriptors(r *wire.Reader) []view.Descriptor {
-	n := int(r.U8())
-	if n == 0 || !r.Need(n*wireDescSize) {
-		return nil
-	}
-	out := make([]view.Descriptor, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, getDescriptor(r))
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return out
-}
-
 // putEstimates writes node(8) + value(4, float32 bits) + age(2) each.
 func putEstimates(w *wire.Writer, es []croupier.Estimate) {
 	if len(es) > math.MaxUint8 {
@@ -346,23 +293,4 @@ func putEstimates(w *wire.Writer, es []croupier.Estimate) {
 		}
 		w.PutU16(uint16(age))
 	}
-}
-
-func getEstimates(r *wire.Reader) []croupier.Estimate {
-	n := int(r.U8())
-	if n == 0 || !r.Need(n*wireEstSize) {
-		return nil
-	}
-	out := make([]croupier.Estimate, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, croupier.Estimate{
-			Node:  addr.NodeID(r.U64()),
-			Value: float64(math.Float32frombits(r.U32())),
-			Age:   int(r.U16()),
-		})
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return out
 }

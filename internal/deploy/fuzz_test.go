@@ -7,11 +7,12 @@ import (
 	"repro/internal/view"
 )
 
-// FuzzDecode throws arbitrary datagrams at both decode paths — the
-// allocating package-level Decode and the pooled Decoder a node's
-// driver uses. Neither may panic, they must agree on accept/reject and
-// on the decoded kind, and hostile inputs (truncated bodies, inflated
-// element counts) must come back as errors, not as runaway work.
+// FuzzDecode throws arbitrary datagrams at the decoder in both states
+// it is used in — fresh (the package-level Decode) and long-lived with
+// recycled messages (the Decoder a node's driver keeps). Neither may
+// panic, a warm pool must not change accept/reject or the decoded kind,
+// and hostile inputs (truncated bodies, inflated element counts) must
+// come back as errors, not as runaway work.
 func FuzzDecode(f *testing.F) {
 	// Golden encodes of every message kind seed the corpus.
 	f.Add(EncodeShuffleReq(&croupier.ShuffleReq{

@@ -86,10 +86,6 @@ type NodeConfig struct {
 	// beyond it the oldest record is evicted. 0 means 64, negative
 	// leaves the table bounded by TTL alone (the simulator behaviour).
 	MaxPending int
-	// InboxDepth bounds the datagram queue between the receive and
-	// driver goroutines; when full the oldest queued datagram is
-	// dropped (deploy_inbox_drops_total). 0 means 256.
-	InboxDepth int
 	// KeepaliveEvery, when positive, makes a NATed (non-public) node
 	// send a tiny keepalive datagram to each public-view peer every
 	// that many rounds, refreshing its NAT port mapping between
@@ -138,6 +134,11 @@ func newNodeMetrics(r *metrics.Registry) *nodeMetrics {
 		pending:     r.Gauge("deploy_pending_exchanges", "Shuffle requests awaiting a response or TTL expiry."),
 	}
 }
+
+// inboxDepth bounds the datagram queue between the receive and driver
+// goroutines; when full the oldest queued datagram is dropped
+// (deploy_inbox_drops_total).
+const inboxDepth = 256
 
 // Node is a Croupier instance gossiping over real UDP. All protocol
 // state is confined to one driver goroutine; public methods communicate
@@ -217,7 +218,7 @@ func (t transport) Send(to addr.Endpoint, msg wire.Message) {
 	default:
 		return
 	}
-	_, _ = t.conn.WriteToUDPAddrPort(b, addrPortFromEndpoint(to))
+	_, _ = t.conn.WriteToUDPAddrPort(b, to.AddrPort())
 	if m := t.m; m != nil {
 		m.udpTx.Inc()
 		m.udpTxBytes.Add(uint64(len(b)))
@@ -248,9 +249,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 64
 	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 256
-	}
 
 	conn := cfg.Conn
 	if conn == nil {
@@ -265,7 +263,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		conn = udpConn{uc}
 	}
 	if cfg.Advertise.IsZero() {
-		cfg.Advertise = endpointFromAddrPort(conn.LocalAddrPort())
+		cfg.Advertise = addr.FromAddrPort(conn.LocalAddrPort())
 	}
 
 	fetch := cfg.FetchSeeds
@@ -315,7 +313,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		m:          nm,
 		limiter:    ratelimit.New(cfg.RateLimit, now()),
 		now:        now,
-		inbox:      make(chan datagram, cfg.InboxDepth),
+		inbox:      make(chan datagram, inboxDepth),
 		query:      make(chan func(*croupier.Node)),
 		fetchSeeds: fetch,
 		reseedCh:   make(chan []view.Descriptor, 1),
@@ -331,7 +329,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 // Endpoint returns the bound socket endpoint.
 func (n *Node) Endpoint() addr.Endpoint {
-	return endpointFromAddrPort(n.conn.LocalAddrPort())
+	return addr.FromAddrPort(n.conn.LocalAddrPort())
 }
 
 // ID returns the node's identifier.
@@ -460,7 +458,7 @@ func (n *Node) readLoop() {
 			m.udpRx.Inc()
 			m.udpRxBytes.Add(uint64(size))
 		}
-		d := datagram{buf: buf, n: size, from: endpointFromAddrPort(from)}
+		d := datagram{buf: buf, n: size, from: addr.FromAddrPort(from)}
 		if !n.admit(d.n, d.from) {
 			n.bufs.Put(buf)
 			continue
@@ -623,7 +621,7 @@ func (n *Node) maybeRegister() {
 	}
 	d := view.Descriptor{ID: n.cfg.ID, Endpoint: n.cfg.Advertise, Nat: addr.Public}
 	b := EncodeBootRegister(BootRegister{Desc: d})
-	_, _ = n.conn.WriteToUDPAddrPort(b, addrPortFromEndpoint(n.cfg.Directory))
+	_, _ = n.conn.WriteToUDPAddrPort(b, n.cfg.Directory.AddrPort())
 	if m := n.m; m != nil {
 		m.udpTx.Inc()
 		m.udpTxBytes.Add(uint64(len(b)))
@@ -640,7 +638,7 @@ func (n *Node) maybeKeepalive(rounds int) {
 	}
 	b := EncodeKeepalive(Keepalive{From: n.cfg.ID})
 	for _, d := range n.core.PublicView() {
-		_, _ = n.conn.WriteToUDPAddrPort(b, addrPortFromEndpoint(d.Endpoint))
+		_, _ = n.conn.WriteToUDPAddrPort(b, d.Endpoint.AddrPort())
 		if m := n.m; m != nil {
 			m.keepaliveTx.Inc()
 			m.udpTx.Inc()

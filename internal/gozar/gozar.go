@@ -188,27 +188,19 @@ type relayState struct {
 }
 
 // Node is one Gozar protocol instance: a state machine its driver
-// advances with RunRound and HandlePacket (see pss.Protocol).
+// advances with RunRound and HandlePacket (see pss.Protocol). The view,
+// the shuffle cycle and the driver-facing setters are the shared
+// single-view core; the rest is relaying.
 type Node struct {
-	cfg  Config
-	sock exchange.Transport
-	rng  *rand.Rand
-	eng  *exchange.Engine
+	pss.Core
+	cfg Config
 
-	self addr.NodeID
-	ep   addr.Endpoint
-	nat  addr.NatType
-
-	view *view.View
-
-	// Private-side relay management. advExt is the descriptor extension
-	// embedded in this node's own descriptor, carrying the advertised
-	// relay list; it is rebuilt (freshly allocated) whenever the relay
-	// set changes, because descriptor copies in views and in-flight
-	// messages share the extension pointer (view.Ext is immutable once
-	// attached).
+	// Private-side relay management. The advertised relay list rides on
+	// this node's own descriptor as Core.Ext, rebuilt (freshly
+	// allocated) whenever the relay set changes, because descriptor
+	// copies in views and in-flight messages share the extension
+	// pointer (view.Ext is immutable once attached).
 	relays []relayState
-	advExt *view.Ext
 
 	// Public-side relay service.
 	clients map[addr.NodeID]*registration
@@ -219,33 +211,12 @@ type Node struct {
 	relayPool  exchange.FreeList[RelayedReq]
 	resFwdPool exchange.FreeList[RelayResForward]
 
-	rebootstrap func() []view.Descriptor
-
 	// relayEvents, when set, observes relay failover; the scratch
 	// slices back the callback's arguments and are reused each round.
 	relayEvents func(lost, gained []view.Relay)
 	lostScratch []view.Relay
 	gainScratch []view.Relay
-
-	failedShuffles uint64
-
-	// m is the (typically world-shared) instrument set; nil when
-	// uninstrumented.
-	m *pss.Metrics
 }
-
-// SetMetrics implements pss.Protocol, installing shared instruments on
-// the node and its exchange engine.
-func (n *Node) SetMetrics(m *pss.Metrics) {
-	n.m = m
-	if m != nil {
-		n.eng.SetMetrics(m.Exchange)
-	}
-}
-
-// SetSelectionTrace implements pss.Protocol, recording this node's
-// partner selections into the shared trace.
-func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
 // New constructs a Gozar node. seeds initialise the view; private nodes
 // acquire their first relays from the public seeds.
@@ -254,45 +225,12 @@ func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if natType == addr.NatUnknown {
-		return nil, fmt.Errorf("gozar: node %v has unknown NAT type; run natid first", id)
-	}
-	eng, err := exchange.NewEngine(cfg.PendingTTL)
+	core, err := pss.NewCore("gozar", cfg.Params, cfg.PendingTTL, id, rng, tr, natType, selfEP, seeds)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:     cfg,
-		sock:    tr,
-		rng:     rng,
-		eng:     eng,
-		self:    id,
-		ep:      selfEP,
-		nat:     natType,
-		clients: make(map[addr.NodeID]*registration),
-	}
-	n.view = view.New(cfg.Params.ViewSize, n.self)
-	for _, d := range seeds {
-		n.view.Add(d)
-	}
-	return n, nil
+	return &Node{Core: core, cfg: cfg, clients: make(map[addr.NodeID]*registration)}, nil
 }
-
-// ID implements pss.Protocol.
-func (n *Node) ID() addr.NodeID { return n.self }
-
-// NatType implements pss.Protocol.
-func (n *Node) NatType() addr.NatType { return n.nat }
-
-// Rounds returns the number of gossip rounds executed.
-func (n *Node) Rounds() int { return n.eng.Rounds() }
-
-// Neighbors implements pss.Protocol.
-func (n *Node) Neighbors() []view.Descriptor { return n.view.Descriptors() }
-
-// Sample implements pss.Protocol with a uniform draw over the single
-// view.
-func (n *Node) Sample() (view.Descriptor, bool) { return n.view.Random(n.rng) }
 
 // Relays returns a copy of the node's current live relay set (private
 // nodes only).
@@ -308,15 +246,6 @@ func (n *Node) Relays() []view.Relay {
 // currently relaying for.
 func (n *Node) RegisteredClients() int { return len(n.clients) }
 
-// FailedShuffles counts exchanges abandoned because a private target had
-// no usable relays.
-func (n *Node) FailedShuffles() uint64 { return n.failedShuffles }
-
-// SetRebootstrap implements pss.Protocol: fn is queried for fresh seed
-// descriptors whenever the view runs empty, mirroring a real client
-// re-contacting the bootstrap service instead of staying isolated.
-func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn }
-
 // SetRelayEvents installs a relay-failover listener, called on the
 // protocol goroutine at the end of any round in which a private node's
 // relay set changed: lost holds relays dropped for missed acks, gained
@@ -326,57 +255,25 @@ func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn 
 // removes the listener. Call before the node starts gossiping.
 func (n *Node) SetRelayEvents(fn func(lost, gained []view.Relay)) { n.relayEvents = fn }
 
-// Stop implements pss.Protocol; Gozar publishes no occupancy gauges.
-func (n *Node) Stop() {}
-
-// selfDescriptor advertises this node, embedding the current relay set
-// for private nodes so peers can reach them.
-func (n *Node) selfDescriptor() view.Descriptor {
-	d := view.Descriptor{ID: n.self, Endpoint: n.ep, Nat: n.nat}
-	if n.nat == addr.Private {
-		d.Ext = n.advExt
-	}
-	return d
-}
-
 // RunRound implements pss.Protocol: one gossip round through the
 // exchange engine.
-func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
+func (n *Node) RunRound() { n.Eng.RunRound((*policy)(n)) }
 
-// policy adapts the node to the exchange engine's strategy hooks.
+// policy adapts the node to the exchange engine's strategy hooks; the
+// core supplies SelectPeer, FillRequest and MergeResponse.
 type policy Node
 
 // PrepareRound implements exchange.Protocol: view aging, relay upkeep
 // and re-bootstrap.
 func (p *policy) PrepareRound(int) {
 	n := (*Node)(p)
-	if m := n.m; m != nil {
-		m.Rounds.Inc()
-	}
-	n.view.IncrementAges()
-	if n.nat == addr.Private {
+	n.BeginRound()
+	if n.NatType() == addr.Private {
 		n.maintainRelays()
 	} else {
 		n.expireClients()
 	}
-	if n.view.Len() == 0 && n.rebootstrap != nil {
-		for _, d := range n.rebootstrap() {
-			n.view.Add(d)
-		}
-	}
-}
-
-// SelectPeer implements exchange.Protocol with tail selection.
-func (p *policy) SelectPeer() (view.Descriptor, bool) {
-	return (*Node)(p).view.TakeOldest()
-}
-
-// FillRequest implements exchange.Protocol.
-func (p *policy) FillRequest(q view.Descriptor, req *ShuffleReq) {
-	n := (*Node)(p)
-	req.From = n.selfDescriptor()
-	req.Pub = append(n.view.RandomSubsetInto(n.rng, n.cfg.Params.ShuffleSize-1, req.Pub), n.selfDescriptor())
-	req.Pub = exchange.DropNode(req.Pub, q.ID)
+	n.Reseed()
 }
 
 // Deliver implements exchange.Protocol: public targets get the request
@@ -385,31 +282,19 @@ func (p *policy) FillRequest(q view.Descriptor, req *ShuffleReq) {
 func (p *policy) Deliver(q view.Descriptor, req *ShuffleReq) exchange.Delivery {
 	n := (*Node)(p)
 	if q.Nat == addr.Public {
-		n.sock.Send(q.Endpoint, req)
+		n.Sock.Send(q.Endpoint, req)
 		return exchange.Sent
 	}
 	relays := q.Relays()
 	if len(relays) == 0 {
-		n.failedShuffles++
-		if m := n.m; m != nil {
-			m.FailedShuffles.Inc()
-		}
+		n.FailShuffle()
 		return exchange.Failed
 	}
-	relay := relays[n.rng.Intn(len(relays))]
+	relay := relays[n.Rng.Intn(len(relays))]
 	fwd := n.fwdPool.Get()
 	fwd.Target, fwd.Inner, fwd.fl = q.ID, req, &n.fwdPool
-	n.sock.Send(relay.Endpoint, fwd)
+	n.Sock.Send(relay.Endpoint, fwd)
 	return exchange.Sent
-}
-
-// MergeResponse implements exchange.Protocol with the swapper merge.
-func (p *policy) MergeResponse(res *ShuffleRes, sentPub, _ []view.Descriptor) {
-	n := (*Node)(p)
-	if m := n.m; m != nil {
-		m.Merges.Inc()
-	}
-	n.view.Merge(sentPub, res.Pub)
 }
 
 // maintainRelays runs once per round on private nodes: drop relays whose
@@ -420,7 +305,7 @@ func (n *Node) maintainRelays() {
 	n.lostScratch, n.gainScratch = n.lostScratch[:0], n.gainScratch[:0]
 	live := n.relays[:0]
 	for _, r := range n.relays {
-		if n.eng.Rounds()-r.lastAck <= n.cfg.RelayAckTimeout {
+		if n.Rounds()-r.lastAck <= n.cfg.RelayAckTimeout {
 			live = append(live, r)
 		} else {
 			changed = true
@@ -433,7 +318,7 @@ func (n *Node) maintainRelays() {
 		if !ok {
 			break
 		}
-		n.relays = append(n.relays, relayState{relay: cand, lastAck: n.eng.Rounds()})
+		n.relays = append(n.relays, relayState{relay: cand, lastAck: n.Rounds()})
 		changed = true
 		n.gainScratch = append(n.gainScratch, cand)
 	}
@@ -447,12 +332,12 @@ func (n *Node) maintainRelays() {
 		for i, r := range n.relays {
 			ext.Relays[i] = r.relay
 		}
-		n.advExt = ext
+		n.Ext = ext
 	}
 	for _, r := range n.relays {
 		reg := n.regPool.Get()
-		reg.From, reg.fl = n.selfDescriptor(), &n.regPool
-		n.sock.Send(r.relay.Endpoint, reg)
+		reg.From, reg.fl = n.SelfDescriptor(), &n.regPool
+		n.Sock.Send(r.relay.Endpoint, reg)
 	}
 }
 
@@ -463,7 +348,7 @@ func (n *Node) pickNewRelay() (view.Relay, bool) {
 		used[r.relay.ID] = true
 	}
 	var candidates []view.Descriptor
-	for _, d := range n.view.Descriptors() {
+	for _, d := range n.View.Descriptors() {
 		if d.Nat == addr.Public && !used[d.ID] {
 			candidates = append(candidates, d)
 		}
@@ -471,14 +356,14 @@ func (n *Node) pickNewRelay() (view.Relay, bool) {
 	if len(candidates) == 0 {
 		return view.Relay{}, false
 	}
-	pick := candidates[n.rng.Intn(len(candidates))]
+	pick := candidates[n.Rng.Intn(len(candidates))]
 	return view.Relay{ID: pick.ID, Endpoint: pick.Endpoint}, true
 }
 
 // expireClients drops registrations that stopped sending keep-alives.
 func (n *Node) expireClients() {
 	for id, reg := range n.clients {
-		if n.eng.Rounds()-reg.lastSeen > n.cfg.RelayTTL {
+		if n.Rounds()-reg.lastSeen > n.cfg.RelayTTL {
 			delete(n.clients, id)
 		}
 	}
@@ -492,7 +377,7 @@ func (n *Node) HandlePacket(pkt wire.Packet) {
 	case *ShuffleReq:
 		n.handleReq(pkt.From, m, addr.Endpoint{})
 	case *ShuffleRes:
-		n.eng.HandleResponse((*policy)(n), m)
+		n.Eng.HandleResponse((*policy)(n), m)
 	case *RelayRegister:
 		n.handleRegister(pkt.From, m)
 	case RelayRegisterAck:
@@ -502,12 +387,12 @@ func (n *Node) HandlePacket(pkt wire.Packet) {
 	case *RelayedReq:
 		n.handleReq(pkt.From, m.Inner, m.Origin)
 	case *RelayResForward:
-		if mm := n.m; mm != nil {
+		if mm := n.M; mm != nil {
 			mm.Relayed.Inc()
 		}
 		inner := m.Inner
 		m.Inner = nil // ownership moves to the final leg
-		n.sock.Send(m.Target, inner)
+		n.Sock.Send(m.Target, inner)
 	}
 }
 
@@ -515,33 +400,28 @@ func (n *Node) HandlePacket(pkt wire.Packet) {
 // when the request arrived through a relay and names the requester's
 // observed endpoint; from is then the relay itself.
 func (n *Node) handleReq(from addr.Endpoint, req *ShuffleReq, relayOrigin addr.Endpoint) {
-	res := n.eng.NewRes()
-	res.From = n.selfDescriptor()
-	res.Pub = exchange.DropNode(n.view.RandomSubsetInto(n.rng, n.cfg.Params.ShuffleSize, res.Pub), req.From.ID)
-	if m := n.m; m != nil {
-		m.Merges.Inc()
-	}
-	n.view.Merge(res.Pub, req.Pub)
+	res := n.NewResponse(req.From.ID)
+	n.Merge(res.Pub, req.Pub)
 
 	switch {
 	case relayOrigin.IsZero():
 		// Direct request: answer the observed source.
-		n.sock.Send(from, res)
+		n.Sock.Send(from, res)
 	case req.From.Nat == addr.Public:
 		// Relayed request from a public node: answer it directly.
-		n.sock.Send(req.From.Endpoint, res)
+		n.Sock.Send(req.From.Endpoint, res)
 	default:
 		// Relayed request from a private node: route the response back
 		// through the same relay.
 		fwd := n.resFwdPool.Get()
 		fwd.Target, fwd.Inner, fwd.fl = relayOrigin, res, &n.resFwdPool
-		n.sock.Send(from, fwd)
+		n.Sock.Send(from, fwd)
 	}
 }
 
 // handleRegister serves the relay side of a registration/keep-alive.
 func (n *Node) handleRegister(from addr.Endpoint, reg *RelayRegister) {
-	if n.nat != addr.Public {
+	if n.NatType() != addr.Public {
 		return // only public nodes relay
 	}
 	r, ok := n.clients[reg.From.ID]
@@ -550,15 +430,15 @@ func (n *Node) handleRegister(from addr.Endpoint, reg *RelayRegister) {
 		n.clients[reg.From.ID] = r
 	}
 	r.endpoint = from
-	r.lastSeen = n.eng.Rounds()
-	n.sock.Send(from, RelayRegisterAck{})
+	r.lastSeen = n.Rounds()
+	n.Sock.Send(from, RelayRegisterAck{})
 }
 
 // handleRegisterAck refreshes the liveness of the acknowledging relay.
 func (n *Node) handleRegisterAck(from addr.Endpoint) {
 	for i := range n.relays {
 		if n.relays[i].relay.Endpoint == from {
-			n.relays[i].lastAck = n.eng.Rounds()
+			n.relays[i].lastAck = n.Rounds()
 			return
 		}
 	}
@@ -572,14 +452,14 @@ func (n *Node) handleRelayForward(from addr.Endpoint, fwd *RelayForward) {
 	if !ok {
 		return // fwd's release recycles the undeliverable inner request
 	}
-	if m := n.m; m != nil {
+	if m := n.M; m != nil {
 		m.Relayed.Inc()
 	}
 	inner := fwd.Inner
 	fwd.Inner = nil // ownership moves to the client leg
 	rr := n.relayPool.Get()
 	rr.Origin, rr.Inner, rr.fl = from, inner, &n.relayPool
-	n.sock.Send(reg.endpoint, rr)
+	n.Sock.Send(reg.endpoint, rr)
 }
 
 var (

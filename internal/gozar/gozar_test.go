@@ -72,7 +72,7 @@ func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds [
 }
 
 func pubDesc(n *Node) view.Descriptor {
-	return view.Descriptor{ID: n.self, Endpoint: n.ep, Nat: addr.Public}
+	return view.Descriptor{ID: n.ID(), Endpoint: n.SelfDescriptor().Endpoint, Nat: addr.Public}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -88,15 +88,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.RelayTTL = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Validate accepted zero relay TTL")
-	}
-}
-
-func TestNewRejectsUnknownNatType(t *testing.T) {
-	r := newRig(t)
-	h, _ := r.net.AddPublicHost(1)
-	sock, _ := h.Bind(100, func(wire.Packet) {})
-	if _, err := New(DefaultConfig(), h.ID(), r.rng(), sock, addr.NatUnknown, addr.Endpoint{}, nil); err == nil {
-		t.Fatal("New accepted unknown NAT type")
 	}
 }
 
@@ -125,7 +116,7 @@ func TestSelfDescriptorCarriesRelays(t *testing.T) {
 	priv := r.priNode(t, 2, []view.Descriptor{pubDesc(p1)})
 	priv.RunRound()
 	r.sched.Run()
-	d := priv.selfDescriptor()
+	d := priv.SelfDescriptor()
 	if rs := d.Relays(); len(rs) != 1 || rs[0].ID != 1 {
 		t.Fatalf("self descriptor relays = %v, want [n1]", rs)
 	}
@@ -139,14 +130,14 @@ func TestShuffleWithPrivateTargetViaRelay(t *testing.T) {
 	r.sched.Run()
 
 	// A public node that knows priv's descriptor (with relay info).
-	requester := r.pubNode(t, 3, []view.Descriptor{priv.selfDescriptor()})
+	requester := r.pubNode(t, 3, []view.Descriptor{priv.SelfDescriptor()})
 	requester.RunRound()
 	r.sched.Run()
 
-	if !priv.view.Contains(3) {
+	if !priv.View.Contains(3) {
 		t.Fatal("private node never received the relayed shuffle")
 	}
-	if !requester.view.Contains(2) && requester.eng.PendingLen() > 0 {
+	if !requester.View.Contains(2) && requester.Eng.PendingLen() > 0 {
 		t.Fatal("requester never received the response")
 	}
 	if requester.FailedShuffles() != 0 {
@@ -163,32 +154,32 @@ func TestPrivateToPrivateShuffleRoundTrip(t *testing.T) {
 
 	// Give the target view content to hand back in the response.
 	extra := view.Descriptor{ID: 50, Endpoint: addr.Endpoint{IP: 50, Port: 100}, Nat: addr.Public}
-	target.view.Add(extra)
+	target.View.Add(extra)
 
 	requester := r.priNode(t, 3, []view.Descriptor{pubDesc(relay)})
 	requester.RunRound() // register with relay too
 	r.sched.Run()
-	requester.view.Add(target.selfDescriptor())
+	requester.View.Add(target.SelfDescriptor())
 	// Make the target's descriptor oldest so it is selected.
-	for _, d := range requester.view.Descriptors() {
+	for _, d := range requester.View.Descriptors() {
 		if d.ID != 2 {
-			requester.view.Remove(d.ID)
+			requester.View.Remove(d.ID)
 		}
 	}
 
 	requester.RunRound()
 	r.sched.Run()
 
-	if !target.view.Contains(3) {
+	if !target.View.Contains(3) {
 		t.Fatal("target never saw the relayed request")
 	}
 	// The relayed response was processed: pending state consumed and
 	// the target's view content learned. (A swapper responder does not
 	// advertise itself, so Contains(2) is not the right check.)
-	if requester.eng.PendingLen() != 0 {
+	if requester.Eng.PendingLen() != 0 {
 		t.Fatal("private requester never received the relayed response")
 	}
-	if !requester.view.Contains(50) {
+	if !requester.View.Contains(50) {
 		t.Fatal("requester did not merge the relayed response payload")
 	}
 }
@@ -301,7 +292,7 @@ func TestRelayEventsOnFailover(t *testing.T) {
 		seeds = append(seeds, pubDesc(p))
 	}
 	for _, p := range pubs {
-		p.view.Merge(nil, seeds)
+		p.View.Merge(nil, seeds)
 	}
 	priv := r.priNode(t, 6, seeds)
 	priv.cfg.NumRelays = 2 // leave publics in reserve for the failover

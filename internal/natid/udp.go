@@ -51,7 +51,7 @@ func ListenUDP(address string) (*UDPNode, error) {
 		conn: conn,
 		done: make(chan struct{}),
 	}
-	n.localIP.Store(uint32(ipFromNet(local.IP)))
+	n.localIP.Store(uint32(addr.FromAddrPort(local.AddrPort()).IP))
 	n.wg.Add(1)
 	go n.readLoop()
 	return n, nil
@@ -63,7 +63,7 @@ func (n *UDPNode) Endpoint() addr.Endpoint {
 	if !ok {
 		return addr.Endpoint{}
 	}
-	return addr.Endpoint{IP: ipFromNet(local.IP), Port: uint16(local.Port)}
+	return addr.FromAddrPort(local.AddrPort())
 }
 
 // SetClient attaches a client to receive ForwardResp messages.
@@ -122,8 +122,7 @@ func (n *UDPNode) Close() error {
 // gives no delivery guarantee either way, and the protocol's timeout
 // covers losses.
 func (n *UDPNode) Send(to addr.Endpoint, m Msg) {
-	dst := &net.UDPAddr{IP: ipToNet(to.IP), Port: int(to.Port)}
-	_, _ = n.conn.WriteToUDP(Encode(m), dst)
+	_, _ = n.conn.WriteToUDPAddrPort(Encode(m), to.AddrPort())
 }
 
 // After implements Env with a real timer whose callback is serialised
@@ -152,7 +151,7 @@ func (n *UDPNode) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 2048)
 	for {
-		size, from, err := n.conn.ReadFromUDP(buf)
+		size, from, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-n.done:
@@ -166,9 +165,8 @@ func (n *UDPNode) readLoop() {
 		if err != nil {
 			continue // malformed datagram
 		}
-		src := addr.Endpoint{IP: ipFromNet(from.IP), Port: uint16(from.Port)}
 		n.mu.Lock()
-		n.mux.Dispatch(src, msg)
+		n.mux.Dispatch(addr.FromAddrPort(from), msg)
 		n.mu.Unlock()
 	}
 }
@@ -201,16 +199,4 @@ func (n *UDPNode) Classify(probes, helpers []addr.Endpoint, timeout time.Duratio
 	n.StartMappingClient(mc, helpers)
 	cls.Mapping = <-mapCh
 	return cls
-}
-
-func ipToNet(ip addr.IP) net.IP {
-	return net.IPv4(byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
-}
-
-func ipFromNet(ip net.IP) addr.IP {
-	v4 := ip.To4()
-	if v4 == nil {
-		return 0
-	}
-	return addr.MakeIP(v4[0], v4[1], v4[2], v4[3])
 }

@@ -207,18 +207,13 @@ type pendingPunch struct {
 }
 
 // Node is one Nylon protocol instance: a state machine its driver
-// advances with RunRound and HandlePacket (see pss.Protocol).
+// advances with RunRound and HandlePacket (see pss.Protocol). The view,
+// the shuffle cycle and the driver-facing setters are the shared
+// single-view core; the rest is rendezvous, routing and punching.
 type Node struct {
-	cfg  Config
-	sock exchange.Transport
-	rng  *rand.Rand
-	eng  *exchange.Engine
+	pss.Core
+	cfg Config
 
-	self addr.NodeID
-	ep   addr.Endpoint
-	nat  addr.NatType
-
-	view    *view.View
 	punches map[addr.NodeID]pendingPunch
 	rvps    map[addr.NodeID]*rvp
 	routes  map[addr.NodeID]*route
@@ -236,8 +231,6 @@ type Node struct {
 	routePool exchange.FreeList[route]
 	rvpPool   exchange.FreeList[rvp]
 
-	rebootstrap func() []view.Descriptor
-
 	// rvpEvents, when set, observes rendezvous-point lifecycle:
 	// established on a completed direct exchange, torn down on TTL
 	// expiry or capacity eviction. evIDs is the deterministic-order
@@ -249,29 +242,13 @@ type Node struct {
 	// being handled; see handleRes.
 	resFrom addr.Endpoint
 
-	failedShuffles uint64
-	relayedMsgs    uint64
+	relayedMsgs uint64
 
-	// m is the (typically world-shared) instrument set; nil when
-	// uninstrumented. lastRVPCount is the rendezvous count this node
-	// last published into the shared RVP gauge, so round boundaries and
-	// Stop publish deltas instead of sweeping.
-	m            *pss.Metrics
+	// lastRVPCount is the rendezvous count this node last published
+	// into the shared RVP gauge, so round boundaries and Stop publish
+	// deltas instead of sweeping.
 	lastRVPCount int
 }
-
-// SetMetrics implements pss.Protocol, installing shared instruments on
-// the node and its exchange engine.
-func (n *Node) SetMetrics(m *pss.Metrics) {
-	n.m = m
-	if m != nil {
-		n.eng.SetMetrics(m.Exchange)
-	}
-}
-
-// SetSelectionTrace implements pss.Protocol, recording this node's
-// partner selections into the shared trace.
-func (n *Node) SetSelectionTrace(t *exchange.Trace) { n.eng.SetTrace(n.self, t) }
 
 // New constructs a Nylon node seeded with the given descriptors.
 func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
@@ -279,60 +256,24 @@ func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if natType == addr.NatUnknown {
-		return nil, fmt.Errorf("nylon: node %v has unknown NAT type; run natid first", id)
-	}
-	eng, err := exchange.NewEngine(cfg.PendingTTL)
+	core, err := pss.NewCore("nylon", cfg.Params, cfg.PendingTTL, id, rng, tr, natType, selfEP, seeds)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
+	return &Node{
+		Core:    core,
 		cfg:     cfg,
-		sock:    tr,
-		rng:     rng,
-		eng:     eng,
-		self:    id,
-		ep:      selfEP,
-		nat:     natType,
 		punches: make(map[addr.NodeID]pendingPunch),
 		rvps:    make(map[addr.NodeID]*rvp),
 		routes:  make(map[addr.NodeID]*route),
-	}
-	n.view = view.New(cfg.Params.ViewSize, n.self)
-	for _, d := range seeds {
-		n.view.Add(d)
-	}
-	return n, nil
+	}, nil
 }
-
-// ID implements pss.Protocol.
-func (n *Node) ID() addr.NodeID { return n.self }
-
-// NatType implements pss.Protocol.
-func (n *Node) NatType() addr.NatType { return n.nat }
-
-// Rounds returns the number of gossip rounds executed.
-func (n *Node) Rounds() int { return n.eng.Rounds() }
-
-// Neighbors implements pss.Protocol.
-func (n *Node) Neighbors() []view.Descriptor { return n.view.Descriptors() }
-
-// Sample implements pss.Protocol with a uniform draw over the view.
-func (n *Node) Sample() (view.Descriptor, bool) { return n.view.Random(n.rng) }
-
-// FailedShuffles counts exchanges abandoned for lack of a route.
-func (n *Node) FailedShuffles() uint64 { return n.failedShuffles }
 
 // RelayedMessages counts chain messages this node forwarded for others.
 func (n *Node) RelayedMessages() uint64 { return n.relayedMsgs }
 
 // RVPCount returns the number of live rendezvous relationships.
 func (n *Node) RVPCount() int { return len(n.rvps) }
-
-// SetRebootstrap implements pss.Protocol: fn is queried for fresh seed
-// descriptors whenever the view runs empty, mirroring a real client
-// re-contacting the bootstrap service instead of staying isolated.
-func (n *Node) SetRebootstrap(fn func() []view.Descriptor) { n.rebootstrap = fn }
 
 // SetRVPEvents installs a rendezvous-point lifecycle listener, called
 // on the protocol goroutine with established=true when a completed
@@ -346,57 +287,36 @@ func (n *Node) SetRVPEvents(fn func(peer addr.NodeID, established bool)) { n.rvp
 // Stop implements pss.Protocol, retiring this node's residue from the
 // shared RVP gauge.
 func (n *Node) Stop() {
-	if m := n.m; m != nil && n.lastRVPCount != 0 {
+	if m := n.M; m != nil && n.lastRVPCount != 0 {
 		m.RVPs.Add(int64(-n.lastRVPCount))
 		n.lastRVPCount = 0
 	}
 }
 
-func (n *Node) selfDescriptor() view.Descriptor {
-	return view.Descriptor{ID: n.self, Endpoint: n.ep, Nat: n.nat}
-}
-
 // RunRound implements pss.Protocol: one gossip round through the
 // exchange engine.
-func (n *Node) RunRound() { n.eng.RunRound((*policy)(n)) }
+func (n *Node) RunRound() { n.Eng.RunRound((*policy)(n)) }
 
-// policy adapts the node to the exchange engine's strategy hooks.
+// policy adapts the node to the exchange engine's strategy hooks; the
+// core supplies SelectPeer and FillRequest.
 type policy Node
 
 // PrepareRound implements exchange.Protocol: view aging, RVP/route/punch
 // expiry, keep-alives, and re-bootstrap.
 func (p *policy) PrepareRound(int) {
 	n := (*Node)(p)
-	if m := n.m; m != nil {
-		m.Rounds.Inc()
+	n.BeginRound()
+	if m := n.M; m != nil {
 		if cur := len(n.rvps); cur != n.lastRVPCount {
 			m.RVPs.Add(int64(cur - n.lastRVPCount))
 			n.lastRVPCount = cur
 		}
 	}
-	n.view.IncrementAges()
 	n.expireState()
-	if n.eng.Rounds()%n.cfg.KeepAliveEvery == 0 {
+	if n.Rounds()%n.cfg.KeepAliveEvery == 0 {
 		n.sendKeepAlives()
 	}
-	if n.view.Len() == 0 && n.rebootstrap != nil {
-		for _, d := range n.rebootstrap() {
-			n.view.Add(d)
-		}
-	}
-}
-
-// SelectPeer implements exchange.Protocol with tail selection.
-func (p *policy) SelectPeer() (view.Descriptor, bool) {
-	return (*Node)(p).view.TakeOldest()
-}
-
-// FillRequest implements exchange.Protocol.
-func (p *policy) FillRequest(q view.Descriptor, req *ShuffleReq) {
-	n := (*Node)(p)
-	req.From = n.selfDescriptor()
-	req.Pub = append(n.view.RandomSubsetInto(n.rng, n.cfg.Params.ShuffleSize-1, req.Pub), n.selfDescriptor())
-	req.Pub = exchange.DropNode(req.Pub, q.ID)
+	n.Reseed()
 }
 
 // Deliver implements exchange.Protocol: direct to public targets and
@@ -405,35 +325,32 @@ func (p *policy) FillRequest(q view.Descriptor, req *ShuffleReq) {
 func (p *policy) Deliver(q view.Descriptor, req *ShuffleReq) exchange.Delivery {
 	n := (*Node)(p)
 	if q.Nat == addr.Public {
-		n.sock.Send(q.Endpoint, req)
+		n.Sock.Send(q.Endpoint, req)
 		return exchange.Sent
 	}
 	// Private target with a live punched hole: exchange directly.
 	if r, ok := n.rvps[q.ID]; ok {
-		n.sock.Send(r.endpoint, req)
+		n.Sock.Send(r.endpoint, req)
 		return exchange.Sent
 	}
 	// Otherwise hole-punch through the RVP chain: open this side, then
 	// route the punch request towards the target.
 	hop, ok := n.nextHopFor(q)
 	if !ok {
-		n.failedShuffles++
-		if m := n.m; m != nil {
-			m.FailedShuffles.Inc()
-		}
+		n.FailShuffle()
 		return exchange.Failed
 	}
 	if old, stale := n.punches[q.ID]; stale {
 		old.req.Release() // an unanswered punch to the same target is superseded
 	}
-	if m := n.m; m != nil {
+	if m := n.M; m != nil {
 		m.PunchAttempts.Inc()
 	}
-	n.punches[q.ID] = pendingPunch{req: req, round: n.eng.Rounds()}
-	n.sock.Send(q.Endpoint, Punch{}) // opens our NAT toward the target
+	n.punches[q.ID] = pendingPunch{req: req, round: n.Rounds()}
+	n.Sock.Send(q.Endpoint, Punch{}) // opens our NAT toward the target
 	hp := n.hpPool.Get()
-	hp.Origin, hp.OriginEP, hp.Target, hp.Hops, hp.fl = n.self, addr.Endpoint{}, q.ID, 1, &n.hpPool
-	n.sock.Send(hop, hp)
+	hp.Origin, hp.OriginEP, hp.Target, hp.Hops, hp.fl = n.ID(), addr.Endpoint{}, q.ID, 1, &n.hpPool
+	n.Sock.Send(hop, hp)
 	return exchange.Deferred
 }
 
@@ -443,20 +360,17 @@ func (p *policy) Deliver(q view.Descriptor, req *ShuffleReq) exchange.Delivery {
 // safe, because the pooled slice is recycled right after the handler.
 func (p *policy) MergeResponse(res *ShuffleRes, sentPub, _ []view.Descriptor) {
 	n := (*Node)(p)
-	if m := n.m; m != nil {
-		m.Merges.Inc()
-	}
-	n.view.Merge(sentPub, n.learnRoutes(res.Pub, res.From.ID, n.resFrom))
+	n.Merge(sentPub, n.learnRoutes(res.Pub, res.From.ID, n.resFrom))
 	n.becomeRVPs(res.From.ID, n.resFrom)
 }
 
 // nextHopFor finds where to route a chain message for target q: the
 // routing table first, the descriptor's via as fallback.
 func (n *Node) nextHopFor(q view.Descriptor) (addr.Endpoint, bool) {
-	if r, ok := n.routes[q.ID]; ok && n.eng.Rounds()-r.updated <= n.cfg.RouteTTL {
+	if r, ok := n.routes[q.ID]; ok && n.Rounds()-r.updated <= n.cfg.RouteTTL {
 		return r.nextHopEP, true
 	}
-	if via := q.Via(); via != 0 && via != n.self && !q.ViaEndpoint().IsZero() {
+	if via := q.Via(); via != 0 && via != n.ID() && !q.ViaEndpoint().IsZero() {
 		return q.ViaEndpoint(), true
 	}
 	return addr.Endpoint{}, false
@@ -469,7 +383,7 @@ func (n *Node) expireState() {
 	// regardless of map iteration order.
 	n.evIDs = n.evIDs[:0]
 	for id, r := range n.rvps {
-		if n.eng.Rounds()-r.lastRefresh > n.cfg.RVPTTL {
+		if n.Rounds()-r.lastRefresh > n.cfg.RVPTTL {
 			n.evIDs = append(n.evIDs, id)
 		}
 	}
@@ -484,19 +398,16 @@ func (n *Node) expireState() {
 		}
 	}
 	for id, r := range n.routes {
-		if n.eng.Rounds()-r.updated > n.cfg.RouteTTL {
+		if n.Rounds()-r.updated > n.cfg.RouteTTL {
 			delete(n.routes, id)
 			n.routePool.Put(r)
 		}
 	}
 	for id, p := range n.punches {
-		if n.eng.Rounds()-p.round > n.cfg.PendingTTL {
+		if n.Rounds()-p.round > n.cfg.PendingTTL {
 			delete(n.punches, id)
 			p.req.Release() // never sent; recycle it here
-			n.failedShuffles++
-			if m := n.m; m != nil {
-				m.FailedShuffles.Inc()
-			}
+			n.FailShuffle()
 		}
 	}
 }
@@ -511,8 +422,8 @@ func (n *Node) sendKeepAlives() {
 	slices.Sort(n.kaIDs)
 	for _, id := range n.kaIDs {
 		ka := n.kaPool.Get()
-		ka.From, ka.fl = n.self, &n.kaPool
-		n.sock.Send(n.rvps[id].endpoint, ka)
+		ka.From, ka.fl = n.ID(), &n.kaPool
+		n.Sock.Send(n.rvps[id].endpoint, ka)
 	}
 }
 
@@ -531,7 +442,7 @@ func (n *Node) becomeRVPs(id addr.NodeID, ep addr.Endpoint) {
 		r.ext = nil // cached ViaEndpoint no longer matches
 	}
 	r.endpoint = ep
-	r.lastRefresh = n.eng.Rounds()
+	r.lastRefresh = n.Rounds()
 	// A direct relationship is also the best route.
 	n.setRoute(id, id, ep)
 	if n.cfg.MaxRVPs > 0 && len(n.rvps) > n.cfg.MaxRVPs {
@@ -579,7 +490,7 @@ func (n *Node) setRoute(id, nextHop addr.NodeID, ep addr.Endpoint) {
 		r = n.routePool.Get()
 		n.routes[id] = r
 	}
-	r.nextHop, r.nextHopEP, r.updated = nextHop, ep, n.eng.Rounds()
+	r.nextHop, r.nextHopEP, r.updated = nextHop, ep, n.Rounds()
 }
 
 // learnRoutes updates the routing table and stamps Via on received
@@ -598,7 +509,7 @@ func (n *Node) learnRoutes(descs []view.Descriptor, partner addr.NodeID, partner
 	var ext *view.Ext
 	for i := range descs {
 		d := &descs[i]
-		if d.Nat == addr.Private && d.ID != n.self {
+		if d.Nat == addr.Private && d.ID != n.ID() {
 			if ext == nil {
 				ext = n.partnerExt(partner, partnerEP)
 			}
@@ -649,15 +560,10 @@ func (n *Node) HandlePacket(pkt wire.Packet) {
 }
 
 func (n *Node) handleReq(from addr.Endpoint, req *ShuffleReq) {
-	res := n.eng.NewRes()
-	res.From = n.selfDescriptor()
-	res.Pub = exchange.DropNode(n.view.RandomSubsetInto(n.rng, n.cfg.Params.ShuffleSize, res.Pub), req.From.ID)
-	if m := n.m; m != nil {
-		m.Merges.Inc()
-	}
-	n.view.Merge(res.Pub, n.learnRoutes(req.Pub, req.From.ID, from))
+	res := n.NewResponse(req.From.ID)
+	n.Merge(res.Pub, n.learnRoutes(req.Pub, req.From.ID, from))
 	n.becomeRVPs(req.From.ID, from)
-	n.sock.Send(from, res)
+	n.Sock.Send(from, res)
 }
 
 // resFrom carries the response's observed source endpoint from handleRes
@@ -665,7 +571,7 @@ func (n *Node) handleReq(from addr.Endpoint, req *ShuffleReq) {
 // node's single goroutine.
 func (n *Node) handleRes(from addr.Endpoint, res *ShuffleRes) {
 	n.resFrom = from
-	n.eng.HandleResponse((*policy)(n), res)
+	n.Eng.HandleResponse((*policy)(n), res)
 }
 
 // handleHolePunchReq either delivers the punch request to the target (if
@@ -677,18 +583,18 @@ func (n *Node) handleHolePunchReq(from addr.Endpoint, m *HolePunchReq) {
 		// First hop observes the requester's public endpoint.
 		originEP = from
 	}
-	if m.Target == n.self {
+	if m.Target == n.ID() {
 		// We are the target: punch back to the origin and confirm.
 		ok := n.punchOKPool.Get()
-		ok.From, ok.fl = n.selfDescriptor(), &n.punchOKPool
-		n.sock.Send(originEP, ok)
+		ok.From, ok.fl = n.SelfDescriptor(), &n.punchOKPool
+		n.Sock.Send(originEP, ok)
 		return
 	}
 	if m.Hops >= n.cfg.MaxHops {
 		return
 	}
 	n.relayedMsgs++
-	if mm := n.m; mm != nil {
+	if mm := n.M; mm != nil {
 		mm.Relayed.Inc()
 	}
 	// The received message belongs to the network (it is recycled after
@@ -697,11 +603,11 @@ func (n *Node) handleHolePunchReq(from addr.Endpoint, m *HolePunchReq) {
 	fw := n.hpPool.Get()
 	fw.Origin, fw.OriginEP, fw.Target, fw.Hops, fw.fl = m.Origin, originEP, m.Target, m.Hops+1, &n.hpPool
 	if r, ok := n.rvps[m.Target]; ok {
-		n.sock.Send(r.endpoint, fw)
+		n.Sock.Send(r.endpoint, fw)
 		return
 	}
-	if r, ok := n.routes[m.Target]; ok && n.eng.Rounds()-r.updated <= n.cfg.RouteTTL {
-		n.sock.Send(r.nextHopEP, fw)
+	if r, ok := n.routes[m.Target]; ok && n.Rounds()-r.updated <= n.cfg.RouteTTL {
+		n.Sock.Send(r.nextHopEP, fw)
 		return
 	}
 	// Route lost: the chain breaks and the requester's punch times out.
@@ -715,30 +621,30 @@ func (n *Node) handlePunchOK(from addr.Endpoint, m *PunchOK) {
 	if !ok {
 		return
 	}
-	if mm := n.m; mm != nil {
+	if mm := n.M; mm != nil {
 		mm.PunchSuccesses.Inc()
 	}
 	delete(n.punches, m.From.ID)
-	n.eng.Open(m.From.ID, p.req.Pub, nil)
-	n.sock.Send(from, p.req)
+	n.Eng.Open(m.From.ID, p.req.Pub, nil)
+	n.Sock.Send(from, p.req)
 }
 
 func (n *Node) handleKeepAlive(from addr.Endpoint, m *KeepAlive) {
 	if r, ok := n.rvps[m.From]; ok {
-		r.lastRefresh = n.eng.Rounds()
+		r.lastRefresh = n.Rounds()
 		if r.endpoint != from {
 			r.ext = nil // cached ViaEndpoint no longer matches
 			r.endpoint = from
 		}
 	}
 	ack := n.kaAckPool.Get()
-	ack.From, ack.fl = n.self, &n.kaAckPool
-	n.sock.Send(from, ack)
+	ack.From, ack.fl = n.ID(), &n.kaAckPool
+	n.Sock.Send(from, ack)
 }
 
 func (n *Node) handleKeepAliveAck(m *KeepAliveAck) {
 	if r, ok := n.rvps[m.From]; ok {
-		r.lastRefresh = n.eng.Rounds()
+		r.lastRefresh = n.Rounds()
 	}
 }
 

@@ -70,7 +70,7 @@ func (r *rig) attach(t *testing.T, h *simnet.Host, natType addr.NatType, seeds [
 	return n
 }
 
-func descOf(n *Node) view.Descriptor { return n.selfDescriptor() }
+func descOf(n *Node) view.Descriptor { return n.SelfDescriptor() }
 
 // idlePolicy advances an engine round with full upkeep (aging, expiry,
 // keep-alives) but never initiates a shuffle — for tests that need a
@@ -86,7 +86,7 @@ func (p idlePolicy) Deliver(view.Descriptor, *ShuffleReq) exchange.Delivery {
 func (p idlePolicy) MergeResponse(*ShuffleRes, []view.Descriptor, []view.Descriptor) {}
 
 // idleRound runs one upkeep-only round.
-func idleRound(n *Node) { n.eng.RunRound(idlePolicy{n}) }
+func idleRound(n *Node) { n.Eng.RunRound(idlePolicy{n}) }
 
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
@@ -108,7 +108,7 @@ func TestDirectExchangeCreatesRVPs(t *testing.T) {
 	r := newRig(t)
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
-	a.view.Add(descOf(b))
+	a.View.Add(descOf(b))
 
 	a.RunRound()
 	r.sched.Run()
@@ -137,16 +137,16 @@ func TestHolePunchThroughOneHop(t *testing.T) {
 	requester := r.pubNode(t, 3, nil)
 	// Learn priv's descriptor "from hub": via = hub.
 	d := descOf(priv)
-	d.Ext = &view.Ext{Via: hub.self, ViaEndpoint: hub.ep}
-	requester.view.Add(d)
+	d.Ext = &view.Ext{Via: hub.ID(), ViaEndpoint: hub.SelfDescriptor().Endpoint}
+	requester.View.Add(d)
 
 	requester.RunRound()
 	r.sched.Run()
 
-	if !priv.view.Contains(3) {
+	if !priv.View.Contains(3) {
 		t.Fatal("private target never received the shuffle")
 	}
-	if !requester.view.Contains(2) && requester.FailedShuffles() > 0 {
+	if !requester.View.Contains(2) && requester.FailedShuffles() > 0 {
 		t.Fatal("requester's punched shuffle failed")
 	}
 	if requester.RVPCount() == 0 {
@@ -169,28 +169,28 @@ func TestPrivateToPrivateHolePunch(t *testing.T) {
 
 	// Give b view content to hand back in its response.
 	extra := view.Descriptor{ID: 50, Endpoint: addr.Endpoint{IP: 50, Port: 100}, Nat: addr.Public}
-	b.view.Add(extra)
+	b.View.Add(extra)
 
 	// a learns b via hub.
 	d := descOf(b)
-	d.Ext = &view.Ext{Via: hub.self, ViaEndpoint: hub.ep}
-	a.view.Add(d)
+	d.Ext = &view.Ext{Via: hub.ID(), ViaEndpoint: hub.SelfDescriptor().Endpoint}
+	a.View.Add(d)
 	// Ensure b's descriptor is the oldest so it gets selected.
-	for _, x := range a.view.Descriptors() {
-		if x.ID != b.self {
-			a.view.Remove(x.ID)
+	for _, x := range a.View.Descriptors() {
+		if x.ID != b.ID() {
+			a.View.Remove(x.ID)
 		}
 	}
 
 	a.RunRound()
 	r.sched.Run()
 
-	if !b.view.Contains(2) {
+	if !b.View.Contains(2) {
 		t.Fatal("private-to-private exchange did not reach the target")
 	}
 	// The response completed over the punched hole: a merged b's
 	// payload and both sides became RVPs.
-	if !a.view.Contains(50) {
+	if !a.View.Contains(50) {
 		t.Fatal("private requester got no response over the punched hole")
 	}
 	if a.RVPCount() == 0 || b.RVPCount() == 0 {
@@ -218,8 +218,8 @@ func TestPunchTimesOutThroughBrokenChain(t *testing.T) {
 
 	requester := r.pubNode(t, 3, nil)
 	d := descOf(priv)
-	d.Ext = &view.Ext{Via: hub.self, ViaEndpoint: hub.ep}
-	requester.view.Add(d)
+	d.Ext = &view.Ext{Via: hub.ID(), ViaEndpoint: hub.SelfDescriptor().Endpoint}
+	requester.View.Add(d)
 
 	r.net.Remove(1) // the chain hop dies
 	requester.RunRound()
@@ -240,10 +240,10 @@ func TestHopLimitStopsRoutingLoops(t *testing.T) {
 	b := r.pubNode(t, 2, nil)
 	// Adversarial routing state: a and b point at each other for an
 	// unreachable target.
-	a.routes[99] = &route{nextHop: 2, nextHopEP: b.ep, updated: 0}
-	b.routes[99] = &route{nextHop: 1, nextHopEP: a.ep, updated: 0}
+	a.routes[99] = &route{nextHop: 2, nextHopEP: b.SelfDescriptor().Endpoint, updated: 0}
+	b.routes[99] = &route{nextHop: 1, nextHopEP: a.SelfDescriptor().Endpoint, updated: 0}
 
-	a.handleHolePunchReq(b.ep, &HolePunchReq{Origin: 5, OriginEP: addr.Endpoint{IP: 9, Port: 9}, Target: 99, Hops: 0})
+	a.handleHolePunchReq(b.SelfDescriptor().Endpoint, &HolePunchReq{Origin: 5, OriginEP: addr.Endpoint{IP: 9, Port: 9}, Target: 99, Hops: 0})
 	r.sched.Run()
 	total := a.RelayedMessages() + b.RelayedMessages()
 	if total > uint64(a.cfg.MaxHops)+1 {
@@ -255,7 +255,7 @@ func TestKeepAliveRefreshesRVP(t *testing.T) {
 	r := newRig(t)
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
-	a.view.Add(descOf(b))
+	a.View.Add(descOf(b))
 	a.RunRound()
 	r.sched.Run()
 
@@ -274,7 +274,7 @@ func TestRVPExpiresWithoutKeepAlive(t *testing.T) {
 	r := newRig(t)
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
-	a.view.Add(descOf(b))
+	a.View.Add(descOf(b))
 	a.RunRound()
 	r.sched.Run()
 	if a.RVPCount() != 1 {
@@ -406,7 +406,7 @@ func TestViaSemanticsSurviveDescriptorSplit(t *testing.T) {
 	if out[2].Ext != nil {
 		t.Fatal("public descriptor was stamped with a via extension")
 	}
-	n.view.Merge(nil, out)
+	n.View.Merge(nil, out)
 
 	// Expire the routing-table entries so only the merged descriptor's
 	// via is left to route by.
@@ -416,7 +416,7 @@ func TestViaSemanticsSurviveDescriptorSplit(t *testing.T) {
 	if _, ok := n.routes[7]; ok {
 		t.Fatal("route survived past TTL; fallback not exercised")
 	}
-	d, ok := n.view.Get(7)
+	d, ok := n.View.Get(7)
 	if !ok {
 		t.Fatal("merged private descriptor aged out unexpectedly")
 	}
@@ -454,7 +454,7 @@ func TestRVPEvents(t *testing.T) {
 	r := newRig(t)
 	a := r.pubNode(t, 1, nil)
 	b := r.pubNode(t, 2, nil)
-	a.view.Add(descOf(b))
+	a.View.Add(descOf(b))
 
 	type ev struct {
 		peer        addr.NodeID

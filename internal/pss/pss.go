@@ -1,7 +1,8 @@
 // Package pss defines what every peer-sampling protocol in this
 // repository has in common: the Protocol interface every driver
 // programs against, the shared parameter set from the paper's
-// experimental setup (§VII-A), and the shared instrument sets.
+// experimental setup (§VII-A), the shared instrument sets, and Core —
+// the single-view gossip node the three baselines embed (core.go).
 package pss
 
 import (

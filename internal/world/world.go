@@ -43,6 +43,14 @@ const (
 	NatIDPort = 2000
 )
 
+const (
+	// bootstrapPublics is how many public descriptors a joiner receives
+	// from the directory.
+	bootstrapPublics = 5
+	// natIDTimeout bounds a joiner's NAT-type identification wait.
+	natIDTimeout = 1500 * time.Millisecond
+)
+
 // Kind selects the peer-sampling system a world runs.
 type Kind int
 
@@ -148,17 +156,12 @@ type Config struct {
 	// NAT is the gateway template for private nodes (PublicIP is
 	// allocated per node). Defaults to nat.DefaultConfig.
 	NAT *nat.Config
-	// BootstrapPublics is how many public descriptors joiners receive
-	// (default 5).
-	BootstrapPublics int
 	// SkipNatID starts protocols immediately with their declared NAT
 	// type instead of running the identification protocol first. The
 	// estimation experiments enable it for speed; protocol behaviour
 	// is unchanged because identification is always correct for the
 	// emulated gateways.
 	SkipNatID bool
-	// NatIDTimeout bounds the identification wait (default 1.5 s).
-	NatIDTimeout time.Duration
 	// Registry, when non-nil, instruments the network and every node
 	// with world-shared counters (one instrument set for all nodes, so
 	// instrumentation cost is a nil check plus an atomic add per event).
@@ -297,12 +300,6 @@ func New(cfg Config) (*World, error) {
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = latency.NewKingLike(cfg.Seed)
-	}
-	if cfg.BootstrapPublics == 0 {
-		cfg.BootstrapPublics = 5
-	}
-	if cfg.NatIDTimeout == 0 {
-		cfg.NatIDTimeout = 1500 * time.Millisecond
 	}
 	if cfg.NAT == nil {
 		c := nat.DefaultConfig(0)
@@ -512,7 +509,7 @@ func (w *World) join(declared addr.NatType, upnp bool) (*Node, error) {
 		}
 	}
 	ws := w.shards[sh]
-	client := natid.NewClient(n.natidEnv, w.Cfg.NatIDTimeout, func(res natid.Result) {
+	client := natid.NewClient(n.natidEnv, natIDTimeout, func(res natid.Result) {
 		if !n.alive {
 			return
 		}
@@ -548,7 +545,7 @@ func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType
 
 	// Seeds are drawn into the world's reusable scratch; every protocol
 	// constructor copies them into its views before returning.
-	seeds := w.Boot.PublicsInto(w.Sched.Rand(), w.Cfg.BootstrapPublics, n.ID, w.seedBuf)
+	seeds := w.Boot.PublicsInto(w.Sched.Rand(), bootstrapPublics, n.ID, w.seedBuf)
 	w.seedBuf = seeds
 	proto, period, err := kinds[w.Cfg.Kind].build(w, protoArgs{
 		id: n.ID, rng: sim.NewRand(ws.sched.Rand().Int63()), tr: sock,
@@ -569,7 +566,7 @@ func (w *World) startProtocol(n *Node, sock *simnet.Socket, natType addr.NatType
 	// protocol's re-bootstrap path copies the descriptors it keeps
 	// before the shard's next draw can happen.
 	proto.SetRebootstrap(func() []view.Descriptor {
-		out, picks := w.Boot.PublicsScratch(n.rng, w.Cfg.BootstrapPublics, n.ID, ws.seedBuf, ws.picks)
+		out, picks := w.Boot.PublicsScratch(n.rng, bootstrapPublics, n.ID, ws.seedBuf, ws.picks)
 		ws.seedBuf, ws.picks = out, picks
 		return out
 	})
