@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +49,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("croupier-randcheck", flag.ContinueOnError)
 	var (
 		kindF    = fs.String("kind", "all", "protocol: croupier, cyclon, gozar, nylon, or all")
@@ -65,6 +67,8 @@ func run(args []string) error {
 		shards   = fs.Int("shards", 1, "kernel shards per simulated world; 0 or 1 = sequential (verdicts are identical at any count)")
 		outDir   = fs.String("out", "results/randcheck", "directory for TSV/JSON output")
 		verbose  = fs.Bool("v", false, "print one progress line per finished run to stderr")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit, after a GC")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: croupier-randcheck [flags]\n\nflags:\n")
@@ -76,6 +80,16 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+
+	stop, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return fmt.Errorf("start profile: %w", err)
+	}
+	defer func() {
+		if perr := stop(); err == nil && perr != nil {
+			err = fmt.Errorf("write profile: %w", perr)
+		}
+	}()
 
 	kinds, err := parseKinds(*kindF, *canary)
 	if err != nil {
@@ -226,4 +240,41 @@ func writeOutputs(dir string, reports []*randcheck.Report, aggs []randcheck.Aggr
 		return err
 	}
 	return write("randcheck-agg.tsv", func(f *os.File) error { return randcheck.WriteAggregateTSV(f, aggs) })
+}
+
+// startProfiles begins a CPU profile into cpuFile and returns the
+// function that ends it and writes a heap profile, taken after a GC,
+// into memFile. An empty name skips that profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

@@ -25,6 +25,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -44,7 +46,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("croupier-scenario", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list the scenario library and exit")
@@ -60,6 +62,8 @@ func run(args []string) error {
 		outDir   = fs.String("out", "results/scenarios", "directory for TSV/JSON output")
 		verbose  = fs.Bool("v", false, "print one progress line per finished (scenario, kind) job to stderr")
 		httpAddr = fs.String("http", "", "serve a live dashboard, SSE stream and Prometheus scrape on this address; forces sequential runs and keeps serving after the sweep finishes")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit, after a GC")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: croupier-scenario -list\n")
@@ -70,6 +74,16 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+
+	stop, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return fmt.Errorf("start profile: %w", err)
+	}
+	defer func() {
+		if perr := stop(); err == nil && perr != nil {
+			err = fmt.Errorf("write profile: %w", perr)
+		}
+	}()
 
 	if *list {
 		for _, name := range scenario.Names() {
@@ -311,4 +325,41 @@ func fmtF(f scenario.F) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.4g", v)
+}
+
+// startProfiles begins a CPU profile into cpuFile and returns the
+// function that ends it and writes a heap profile, taken after a GC,
+// into memFile. An empty name skips that profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

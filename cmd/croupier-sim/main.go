@@ -21,6 +21,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiment"
@@ -42,7 +44,7 @@ type renderer interface {
 	Render() string
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("croupier-sim", flag.ContinueOnError)
 	var (
 		scaleF   = fs.Float64("scale", 1.0, "node-count scale factor (1.0 = paper scale)")
@@ -53,6 +55,8 @@ func run(args []string) error {
 		outDir   = fs.String("out", "results", "directory for TSV output")
 		noPlot   = fs.Bool("no-plot", false, "suppress terminal plots")
 		verbose  = fs.Bool("v", false, "print one progress line per finished (variant, seed) job to stderr")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit, after a GC")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: croupier-sim [flags] <experiment>\n")
@@ -66,6 +70,16 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("exactly one experiment required")
 	}
+	stop, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return fmt.Errorf("start profile: %w", err)
+	}
+	defer func() {
+		if perr := stop(); err == nil && perr != nil {
+			err = fmt.Errorf("write profile: %w", perr)
+		}
+	}()
+
 	workers := *parallel
 	if workers == 0 {
 		workers = -1 // experiment.Scale: negative = GOMAXPROCS
@@ -181,4 +195,41 @@ func runOne(name string, s experiment.Scale) (tsvWriter, error) {
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
+}
+
+// startProfiles begins a CPU profile into cpuFile and returns the
+// function that ends it and writes a heap profile, taken after a GC,
+// into memFile. An empty name skips that profile.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/exchange"
@@ -222,27 +223,28 @@ func estHash(ref int32) uint64 {
 // window in O(1) with no sweep. Entries that age out stay in place as
 // dead slots — every read path treats them as absent, and probe chains
 // still pass through them — until dead slots outnumber live ones, when
-// a rebuild reclaims them.
+// a rebuild reclaims them in place.
 type estimateStore struct {
 	maxAge int
 	// origins is the world-shared interner resolving slot references
 	// back to node identities (and interning fresh origins on merge).
 	origins *intern.Origins
-	slots   []storedEstimate // power-of-two open-addressed table
+	slots   []storedEstimate // power-of-two table; capacity = high-water mark
 	used    int              // occupied slots, live and dead
 	live    int
 	// cohorts[b mod len] counts live entries with birth round b; the
 	// ring is maxAge+2 long so active birth rounds never collide.
 	cohorts []int32
 	round   int // the last round boundary processed by expire
-	// picks is scratch for the piggyback subset draw; spare is the
-	// rebuild scratch, swapped with slots so rebuilds stop allocating
-	// once the table reaches steady size; remap is the compaction
-	// scratch (old ref → mark, then old ref → new ref).
+	// picks is scratch for the piggyback subset draw; remap is the
+	// compaction scratch (old ref → mark, then old ref → new ref).
 	picks []int32
-	spare []storedEstimate
 	remap []int32
 }
+
+// rebuildScratch holds a table's live entries during its rebuild; a
+// pool, because sharded kernels rebuild on several goroutines at once.
+var rebuildScratch = sync.Pool{New: func() any { return new([]storedEstimate) }}
 
 func newEstimateStore(maxAge int, origins *intern.Origins) *estimateStore {
 	return &estimateStore{maxAge: maxAge, origins: origins, cohorts: make([]int32, maxAge+2)}
@@ -288,38 +290,46 @@ func (s *estimateStore) materialise(e storedEstimate, rounds int) Estimate {
 }
 
 // ensureSpace rebuilds the table when an insert would push occupancy
-// past 3/4, growing as the live population demands and dropping dead
-// slots (whose cohorts were already retired) along the way.
+// past 3/4.
 func (s *estimateStore) ensureSpace() {
-	if (s.used+1)*4 <= len(s.slots)*3 {
-		return
+	if (s.used+1)*4 > len(s.slots)*3 {
+		s.rebuild()
 	}
+}
+
+// rebuild re-packs the live entries, in slot order, into the smallest
+// power-of-two table (≥ 16) that holds one more at ≤ 3/4 occupancy,
+// dropping dead slots (whose cohorts were already retired). The table
+// is cleared and resliced in place; it reallocates only to grow.
+func (s *estimateStore) rebuild() {
 	n := 16
 	for (s.live+1)*4 > n*3 {
 		n *= 2
 	}
-	old := s.slots
-	if cap(s.spare) >= n {
-		s.slots = s.spare[:n]
+	buf := rebuildScratch.Get().(*[]storedEstimate)
+	live := (*buf)[:0]
+	for _, e := range s.slots {
+		if e.origin != 0 && s.liveAt(e) {
+			live = append(live, e)
+		}
+	}
+	if cap(s.slots) >= n {
+		s.slots = s.slots[:n]
 		clear(s.slots)
 	} else {
 		s.slots = make([]storedEstimate, n)
 	}
-	s.spare = old[:0]
 	mask := uint64(n - 1)
-	s.used = 0
-	for i := range old {
-		e := old[i]
-		if e.origin == 0 || !s.liveAt(e) {
-			continue
-		}
+	for _, e := range live {
 		h := estHash(e.origin)
 		for s.slots[h&mask].origin != 0 {
 			h++
 		}
 		s.slots[h&mask] = e
-		s.used++
 	}
+	s.used = len(live)
+	*buf = live
+	rebuildScratch.Put(buf)
 }
 
 // replace overwrites the live-or-dead entry at slot i with e, keeping
@@ -383,8 +393,7 @@ func (s *estimateStore) expire(rounds int) {
 		*c = 0
 	}
 	if s.used >= 32 && s.used > 2*s.live {
-		s.used = len(s.slots) // force the rebuild path
-		s.ensureSpace()
+		s.rebuild()
 	}
 }
 
@@ -415,14 +424,13 @@ func (s *estimateStore) compactOrigins() {
 		return
 	}
 	// Rewrite the surviving slots in place (dead slots map to 0 and
-	// read as empty), then force a rebuild to restore probe invariants.
+	// read as empty), then rebuild to restore probe invariants.
 	for i := range s.slots {
 		if r := s.slots[i].origin; r != 0 {
 			s.slots[i].origin = s.remap[r]
 		}
 	}
-	s.used = len(s.slots)
-	s.ensureSpace()
+	s.rebuild()
 }
 
 // sum returns the total of all live estimate values in slot order.

@@ -3,9 +3,12 @@ package croupier
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/exchange"
@@ -16,6 +19,9 @@ import (
 	"repro/internal/view"
 	"repro/internal/wire"
 )
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
 
 // rig is a minimal harness for direct protocol-level tests.
 type rig struct {
@@ -720,5 +726,208 @@ func TestCompactOriginsOffGrowsUnbounded(t *testing.T) {
 	}
 	if n.OriginEpochs() != 0 {
 		t.Fatal("compaction ran with the knob off")
+	}
+}
+
+// refStore is the estimate store as it was before rebuilds went in
+// place: ensureSpace re-inserts the live entries into a second, spare
+// table and swaps the two. It is the layout reference for the one-table
+// rebuild, so only the paths that rebuild are re-stated here.
+type refStore struct {
+	estimateStore
+	spare []storedEstimate
+}
+
+func (s *refStore) ensureSpace() {
+	if (s.used+1)*4 <= len(s.slots)*3 {
+		return
+	}
+	n := 16
+	for (s.live+1)*4 > n*3 {
+		n *= 2
+	}
+	old := s.slots
+	if cap(s.spare) >= n {
+		s.slots = s.spare[:n]
+		clear(s.slots)
+	} else {
+		s.slots = make([]storedEstimate, n)
+	}
+	s.spare = old[:0]
+	mask := uint64(n - 1)
+	s.used = 0
+	for _, e := range old {
+		if e.origin == 0 || !s.liveAt(e) {
+			continue
+		}
+		h := estHash(e.origin)
+		for s.slots[h&mask].origin != 0 {
+			h++
+		}
+		s.slots[h&mask] = e
+		s.used++
+	}
+}
+
+func (s *refStore) mergeFresher(e Estimate, rounds int) {
+	ref := s.origins.Ref(e.Node)
+	if len(s.slots) != 0 {
+		if i, ok := s.probe(ref); ok {
+			if old := s.slots[i]; !s.liveAt(old) || int32(rounds-e.Age) > old.birth {
+				s.replace(i, ref, e, rounds)
+			}
+			return
+		}
+	}
+	s.ensureSpace()
+	s.insert(ref, e, rounds)
+}
+
+func (s *refStore) expire(rounds int) {
+	for s.round < rounds {
+		s.round++
+		c := s.cohortPtr(s.round - s.maxAge - 1)
+		s.live -= int(*c)
+		*c = 0
+	}
+	if s.used >= 32 && s.used > 2*s.live {
+		s.used = len(s.slots) // force the rebuild path
+		s.ensureSpace()
+	}
+}
+
+func (s *refStore) compactOrigins() {
+	s.remap = make([]int32, s.origins.Len()+1)
+	for _, e := range s.slots {
+		if e.origin != 0 && s.liveAt(e) {
+			s.remap[e.origin] = 1
+		}
+	}
+	s.origins.Compact(
+		func(ref int32) bool { return s.remap[ref] != 0 },
+		func(old, new int32) { s.remap[old] = new },
+	)
+	if len(s.slots) == 0 {
+		return
+	}
+	for i := range s.slots {
+		if r := s.slots[i].origin; r != 0 {
+			s.slots[i].origin = s.remap[r]
+		}
+	}
+	s.used = len(s.slots) // force the rebuild path
+	s.ensureSpace()
+}
+
+// TestRebuildKeepsReferenceLayout drives the one-table store and the
+// two-table reference through the same random operations — merges over
+// 64 origins with ages 0–γ, round boundaries (single, and jumps past γ
+// that leave enough dead slots to trigger reclamation) and interner
+// compactions — and requires identical tables, counters and piggyback
+// draws after every step: the in-place rebuild is a layout-only change.
+func TestRebuildKeepsReferenceLayout(t *testing.T) {
+	const gamma = 8
+	f := func(ops [400]uint16, seed int64) bool {
+		got := newEstimateStore(gamma, intern.NewOrigins())
+		want := &refStore{estimateStore: *newEstimateStore(gamma, intern.NewOrigins())}
+		rounds := 0
+		for _, op := range ops {
+			switch op % 64 {
+			case 0, 1, 2, 3, 4, 5, 6, 7:
+				rounds++
+				got.expire(rounds)
+				want.expire(rounds)
+			case 8:
+				rounds += gamma + 1
+				got.expire(rounds)
+				want.expire(rounds)
+			case 9:
+				got.compactOrigins()
+				want.compactOrigins()
+			default:
+				e := Estimate{Node: addr.NodeID(1 + op>>6%64), Value: float64(op) / 65536, Age: int(op>>12) % (gamma + 1)}
+				got.mergeFresher(e, rounds)
+				want.mergeFresher(e, rounds)
+			}
+			if !slices.Equal(got.slots, want.slots) || got.used != want.used || got.live != want.live {
+				return false
+			}
+			a := got.appendRandomSubset(rand.New(rand.NewSource(seed)), 5, nil, rounds)
+			b := want.appendRandomSubset(rand.New(rand.NewSource(seed)), 5, nil, rounds)
+			if !slices.Equal(a, b) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEstimateStoreRebuildAllocs pins the point of the in-place
+// rebuild: once a store's table has grown to its steady size, a rebuild
+// reuses it (and the pooled scratch) and allocates nothing.
+func TestEstimateStoreRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s := newEstimateStore(50, intern.NewOrigins())
+	for id := addr.NodeID(1); id <= 800; id++ {
+		s.mergeFresher(Estimate{Node: id, Value: 0.5}, 0)
+	}
+	size := len(s.slots)
+	allocs := testing.AllocsPerRun(100, s.rebuild)
+	if len(s.slots) != size || s.len() != 800 || s.used != 800 {
+		t.Fatalf("rebuild changed the store: %d slots (was %d), %d live, %d used", len(s.slots), size, s.len(), s.used)
+	}
+	if allocs != 0 {
+		t.Fatalf("same-size rebuild of an 800-entry store allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestEstimateStoreStaysCompact pins the store header. One store is
+// embedded in every croupier node, and its table is the largest thing a
+// node owns: a second table (a rebuild spare) doubled the store's
+// memory at 20k nodes, and would show up here as a 24-byte slice header.
+func TestEstimateStoreStaysCompact(t *testing.T) {
+	const maxHeader = 136
+	if got := unsafe.Sizeof(estimateStore{}); got > maxHeader {
+		t.Fatalf("estimateStore is %d bytes, budget is %d — rebuild in place instead of keeping another table", got, maxHeader)
+	}
+}
+
+// TestConcurrentRebuildsKeepLayout rebuilds stores on several goroutines
+// at once, as a sharded kernel does, through the process-wide rebuild
+// scratch: under -race this fails if that scratch is shared without
+// synchronisation, and every store must still end with the layout a
+// lone store reaches.
+func TestConcurrentRebuildsKeepLayout(t *testing.T) {
+	fill := func(s *estimateStore) {
+		for r := 1; r <= 40; r++ {
+			for id := addr.NodeID(1); id <= 200; id += addr.NodeID(1 + r%3) {
+				s.mergeFresher(Estimate{Node: id, Value: float64(id) / 200, Age: r % 5}, r)
+			}
+			s.expire(r)
+		}
+		s.rebuild()
+	}
+	want := newEstimateStore(8, intern.NewOrigins())
+	fill(want)
+	stores := make([]*estimateStore, 4)
+	var wg sync.WaitGroup
+	for i := range stores {
+		stores[i] = newEstimateStore(8, intern.NewOrigins())
+		wg.Add(1)
+		go func(s *estimateStore) {
+			defer wg.Done()
+			fill(s)
+		}(stores[i])
+	}
+	wg.Wait()
+	for i, s := range stores {
+		if !slices.Equal(s.slots, want.slots) || s.used != want.used || s.live != want.live {
+			t.Fatalf("store %d rebuilt on its own goroutine has a different layout", i)
+		}
 	}
 }

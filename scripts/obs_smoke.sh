@@ -2,7 +2,8 @@
 # Observability smoke: run one small scenario with the live dashboard
 # attached and assert that the three HTTP surfaces are well-formed — a
 # Prometheus scrape, an SSE stream that replays the full run, and the
-# embedded dashboard page. Exercised by CI on every push.
+# embedded dashboard page — and that the simulator binaries write their
+# -cpuprofile/-memprofile files. Exercised by CI on every push.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,7 +17,9 @@ DEMO_PID=""
 
 go build -o "$BIN" ./cmd/croupier-scenario
 
-"$BIN" -http "$ADDR" -scale 0.1 -out "$OUT/results" partition >"$OUT/run.log" 2>&1 &
+"$BIN" -http "$ADDR" -scale 0.1 -out "$OUT/results" \
+  -cpuprofile "$OUT/scenario.cpu.prof" -memprofile "$OUT/scenario.mem.prof" \
+  partition >"$OUT/run.log" 2>&1 &
 SRV_PID=$!
 
 # Wait for the server to come up (the run itself finishes in well under
@@ -63,7 +66,23 @@ grep -q '<title>croupier-scenario' "$OUT/page.html" \
 test -s "$OUT/results/partition-croupier.tsv" || fail "TSV output missing"
 test -s "$OUT/results/partition-croupier.json" || fail "JSON output missing"
 
-# 5. Deployment hardening: a flooded loopback swarm must shed the junk
+# 5. Profiles: each simulator binary writes a CPU profile of its run and
+# a post-GC heap profile when it exits (the dashboard run on SIGINT).
+kill -INT "$SRV_PID"
+wait "$SRV_PID" || fail "croupier-scenario did not exit cleanly on SIGINT"
+SRV_PID=""
+go build -o "$OUT/croupier-sim" ./cmd/croupier-sim
+go build -o "$OUT/croupier-randcheck" ./cmd/croupier-randcheck
+"$OUT/croupier-sim" -scale 0.05 -seeds 1 -rounds 50 -no-plot -out "$OUT/sim" \
+  -cpuprofile "$OUT/sim.cpu.prof" -memprofile "$OUT/sim.mem.prof" fig1 >/dev/null
+"$OUT/croupier-randcheck" -canary -ratios 0.2 -seeds 1 -rounds 60 -out "$OUT/randcheck" \
+  -cpuprofile "$OUT/randcheck.cpu.prof" -memprofile "$OUT/randcheck.mem.prof" >/dev/null
+for p in scenario sim randcheck; do
+  test -s "$OUT/$p.cpu.prof" || fail "croupier-$p wrote no CPU profile"
+  test -s "$OUT/$p.mem.prof" || fail "croupier-$p wrote no heap profile"
+done
+
+# 6. Deployment hardening: a flooded loopback swarm must shed the junk
 # at the receive-path rate limiter, visible on its own scrape as a
 # non-zero deploy_ratelimit_dropped_total (and reject oversize frames).
 DEMO_ADDR="127.0.0.1:${OBS_SMOKE_DEMO_PORT:-8714}"
