@@ -124,10 +124,13 @@ func TestCroupierTraceRoundAllocs(t *testing.T) {
 // other's RVP sets (the periodic keep-alives refresh both sides
 // forever), so new rvp records, routing entries and keep-alive bursts
 // accumulate toward a full mesh for thousands of rounds — the unbounded
-// keep-alive overhead the paper criticises Nylon for. Steady-state
-// measurement at round ~90 is ≈ 400 allocs and falls as the mesh
-// saturates; the pre-pooling cost was ≈ 3000.
-func TestNylonRoundAllocs(t *testing.T) { guardRoundAllocs(t, world.KindNylon, 1000) }
+// keep-alive overhead the paper criticises Nylon for. The measurement
+// at round ~90 is 563 allocs and falls as the mesh saturates; the
+// budget is that measurement plus 25 %, and the pre-pooling cost was
+// ≈ 3000.
+const nylonRoundBudget = 704
+
+func TestNylonRoundAllocs(t *testing.T) { guardRoundAllocs(t, world.KindNylon, nylonRoundBudget) }
 
 // TestNylonBoundedRVPRoundAllocs pins the config-gated MaxRVPs mode:
 // with the rendezvous set LRU-bounded, the mesh stops growing, every
@@ -147,8 +150,8 @@ func TestNylonBoundedRVPRoundAllocs(t *testing.T) {
 		w.RunUntil(w.Sched.Now() + time.Second)
 	})
 	t.Logf("nylon (MaxRVPs=20): %.1f allocs per 200-node round", got)
-	if got > 1000 {
-		t.Errorf("bounded-RVP nylon round allocates %.1f objects, budget is 1000", got)
+	if got > nylonRoundBudget {
+		t.Errorf("bounded-RVP nylon round allocates %.1f objects, budget is %d", got, nylonRoundBudget)
 	}
 	for _, n := range w.AliveNodes() {
 		ny, ok := n.Proto.(*nylon.Node)

@@ -6,6 +6,7 @@
 package deploy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -67,19 +68,19 @@ const (
 	flagHasEstimates uint8 = 1 << 1
 )
 
-// EncodeShuffleReq serialises a shuffle request.
+// EncodeShuffleReq serialises a shuffle request into a new buffer.
 func EncodeShuffleReq(m *croupier.ShuffleReq) []byte {
-	return encodeShuffle(kindShuffleReq, m.From, m.Pub, m.Pri, m.Estimates)
+	return encodeShuffle(nil, kindShuffleReq, m.From, m.Pub, m.Pri, m.Estimates)
 }
 
-// EncodeShuffleRes serialises a shuffle response.
+// EncodeShuffleRes serialises a shuffle response into a new buffer.
 func EncodeShuffleRes(m *croupier.ShuffleRes) []byte {
-	return encodeShuffle(kindShuffleRes, m.From, m.Pub, m.Pri, m.Estimates)
+	return encodeShuffle(nil, kindShuffleRes, m.From, m.Pub, m.Pri, m.Estimates)
 }
 
-func encodeShuffle(kind uint8, from view.Descriptor, pub, pri []view.Descriptor, ests []croupier.Estimate) []byte {
-	var w wire.Writer
-	w.PutU8(kind)
+// encodeShuffle appends the encoding of one shuffle message to b; with
+// a reused b of sufficient capacity it allocates nothing.
+func encodeShuffle(b []byte, kind uint8, from view.Descriptor, pub, pri []view.Descriptor, ests []croupier.Estimate) []byte {
 	var flags uint8
 	if len(pri) > 0 {
 		flags |= flagHasPri
@@ -87,48 +88,34 @@ func encodeShuffle(kind uint8, from view.Descriptor, pub, pri []view.Descriptor,
 	if len(ests) > 0 {
 		flags |= flagHasEstimates
 	}
-	w.PutU8(flags)
-	putDescriptor(&w, from)
-	putDescriptors(&w, pub)
+	b = append(b, kind, flags)
+	b = putDescriptor(b, from)
+	b = putDescriptors(b, pub)
 	if flags&flagHasPri != 0 {
-		putDescriptors(&w, pri)
+		b = putDescriptors(b, pri)
 	}
 	if flags&flagHasEstimates != 0 {
-		putEstimates(&w, ests)
+		b = putEstimates(b, ests)
 	}
-	return w.Bytes()
+	return b
 }
 
 // EncodeBootRegister serialises a directory registration.
 func EncodeBootRegister(m BootRegister) []byte {
-	var w wire.Writer
-	w.PutU8(kindBootRegister)
-	putDescriptor(&w, m.Desc)
-	return w.Bytes()
+	return putDescriptor([]byte{kindBootRegister}, m.Desc)
 }
 
 // EncodeBootList serialises a directory query.
-func EncodeBootList(m BootList) []byte {
-	var w wire.Writer
-	w.PutU8(kindBootList)
-	w.PutU8(m.Max)
-	return w.Bytes()
-}
+func EncodeBootList(m BootList) []byte { return []byte{kindBootList, m.Max} }
 
 // EncodeBootListRes serialises a directory answer.
 func EncodeBootListRes(m BootListRes) []byte {
-	var w wire.Writer
-	w.PutU8(kindBootListRes)
-	putDescriptors(&w, m.Descs)
-	return w.Bytes()
+	return putDescriptors([]byte{kindBootListRes}, m.Descs)
 }
 
 // EncodeKeepalive serialises a NAT-mapping keepalive.
 func EncodeKeepalive(m Keepalive) []byte {
-	var w wire.Writer
-	w.PutU8(kindKeepalive)
-	w.PutU64(uint64(m.From))
-	return w.Bytes()
+	return binary.BigEndian.AppendUint64([]byte{kindKeepalive}, uint64(m.From))
 }
 
 // Decoder decodes deployment datagrams with pooled shuffle messages:
@@ -241,19 +228,18 @@ func Decode(b []byte) (any, error) {
 	return d.Decode(b)
 }
 
-// putDescriptor writes id(8) + endpoint(6) + nat(1) + age(2).
-func putDescriptor(w *wire.Writer, d view.Descriptor) {
-	w.PutU64(uint64(d.ID))
-	w.PutEndpoint(d.Endpoint)
-	w.PutU8(uint8(d.Nat))
-	age := d.Age
-	if age < 0 {
-		age = 0
-	}
-	if age > math.MaxUint16 {
-		age = math.MaxUint16
-	}
-	w.PutU16(uint16(age))
+// putDescriptor appends id(8) + endpoint(6) + nat(1) + age(2).
+func putDescriptor(b []byte, d view.Descriptor) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(d.ID))
+	b = binary.BigEndian.AppendUint32(b, uint32(d.Endpoint.IP))
+	b = binary.BigEndian.AppendUint16(b, d.Endpoint.Port)
+	b = append(b, uint8(d.Nat))
+	return binary.BigEndian.AppendUint16(b, clampU16(int(d.Age)))
+}
+
+// clampU16 saturates an age into its 16-bit wire field.
+func clampU16(v int) uint16 {
+	return uint16(max(0, min(v, math.MaxUint16)))
 }
 
 func getDescriptor(r *wire.Reader) view.Descriptor {
@@ -265,32 +251,27 @@ func getDescriptor(r *wire.Reader) view.Descriptor {
 	}
 }
 
-func putDescriptors(w *wire.Writer, ds []view.Descriptor) {
+func putDescriptors(b []byte, ds []view.Descriptor) []byte {
 	if len(ds) > math.MaxUint8 {
 		ds = ds[:math.MaxUint8]
 	}
-	w.PutU8(uint8(len(ds)))
+	b = append(b, uint8(len(ds)))
 	for _, d := range ds {
-		putDescriptor(w, d)
+		b = putDescriptor(b, d)
 	}
+	return b
 }
 
-// putEstimates writes node(8) + value(4, float32 bits) + age(2) each.
-func putEstimates(w *wire.Writer, es []croupier.Estimate) {
+// putEstimates appends node(8) + value(4, float32 bits) + age(2) each.
+func putEstimates(b []byte, es []croupier.Estimate) []byte {
 	if len(es) > math.MaxUint8 {
 		es = es[:math.MaxUint8]
 	}
-	w.PutU8(uint8(len(es)))
+	b = append(b, uint8(len(es)))
 	for _, e := range es {
-		w.PutU64(uint64(e.Node))
-		w.PutU32(math.Float32bits(float32(e.Value)))
-		age := e.Age
-		if age < 0 {
-			age = 0
-		}
-		if age > math.MaxUint16 {
-			age = math.MaxUint16
-		}
-		w.PutU16(uint16(age))
+		b = binary.BigEndian.AppendUint64(b, uint64(e.Node))
+		b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(e.Value)))
+		b = binary.BigEndian.AppendUint16(b, clampU16(e.Age))
 	}
+	return b
 }

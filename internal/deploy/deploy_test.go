@@ -1,7 +1,10 @@
 package deploy
 
 import (
+	"bytes"
 	"math"
+	"net"
+	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
@@ -363,5 +366,54 @@ func TestDecoderPooledDecodeAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("pooled decode allocates %.2f objects per datagram, want 0", avg)
+	}
+}
+
+// lastWrite is a PacketConn that keeps a copy of the last datagram
+// written and sends nothing.
+type lastWrite struct{ b []byte }
+
+func (c *lastWrite) ReadFromUDPAddrPort([]byte) (int, netip.AddrPort, error) {
+	return 0, netip.AddrPort{}, net.ErrClosed
+}
+func (c *lastWrite) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
+	c.b = append(c.b[:0], b...)
+	return len(b), nil
+}
+func (c *lastWrite) LocalAddrPort() netip.AddrPort { return netip.AddrPort{} }
+func (c *lastWrite) Close() error                  { return nil }
+
+// TestTransportSendAllocs pins the send half of the zero-alloc
+// deployment path: once its buffer has grown, the transport encodes
+// every shuffle message into it, byte-identical to the allocating
+// EncodeShuffleReq/EncodeShuffleRes, and allocates nothing per send.
+func TestTransportSendAllocs(t *testing.T) {
+	req := &croupier.ShuffleReq{
+		From: sampleDesc(1),
+		Pub:  []view.Descriptor{sampleDesc(2), sampleDesc(3)},
+		Pri:  []view.Descriptor{sampleDesc(4)},
+	}
+	res := &croupier.ShuffleRes{
+		From:      sampleDesc(5),
+		Pub:       []view.Descriptor{sampleDesc(6), sampleDesc(7), sampleDesc(8)},
+		Estimates: []croupier.Estimate{{Node: 7, Value: 0.25, Age: 3}},
+	}
+	conn := &lastWrite{}
+	tr := &transport{conn: conn}
+	to := addr.Endpoint{IP: addr.MakeIP(10, 0, 0, 1), Port: 4000}
+	tr.Send(to, req)
+	if !bytes.Equal(conn.b, EncodeShuffleReq(req)) {
+		t.Fatal("transport encoding of a request differs from EncodeShuffleReq")
+	}
+	tr.Send(to, res)
+	if !bytes.Equal(conn.b, EncodeShuffleRes(res)) {
+		t.Fatal("transport encoding of a response differs from EncodeShuffleRes")
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		tr.Send(to, req)
+		tr.Send(to, res)
+	})
+	if avg != 0 {
+		t.Fatalf("transport Send allocates %.2f objects per request/response pair, want 0", avg)
 	}
 }

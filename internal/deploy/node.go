@@ -21,7 +21,9 @@ import (
 // *net.UDPConn satisfies it (via the wrapper StartNode applies);
 // tests inject in-memory fault-injecting implementations to run
 // compressed deployments with loss, junk floods and dead directories
-// without touching a real socket.
+// without touching a real socket. WriteToUDPAddrPort must not retain b
+// after it returns: the node encodes every shuffle message into one
+// reused buffer.
 type PacketConn interface {
 	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
 	WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error)
@@ -197,10 +199,14 @@ type datagram struct {
 	from addr.Endpoint
 }
 
-// transport implements exchange.Transport over the node's socket.
+// transport implements exchange.Transport over the node's socket. buf
+// is the encoding buffer every send reuses: the protocol core calls
+// Send only from the driver goroutine, and the socket does not retain
+// what it writes (see PacketConn).
 type transport struct {
 	conn PacketConn
 	m    *nodeMetrics
+	buf  []byte
 }
 
 // Send implements exchange.Transport. Encoding errors cannot happen
@@ -208,20 +214,19 @@ type transport struct {
 // like any UDP loss. Send owns the pooled message: once serialised it
 // is released back to the protocol core's pool, mirroring the simulated
 // network's recycle-after-flight contract.
-func (t transport) Send(to addr.Endpoint, msg wire.Message) {
-	var b []byte
+func (t *transport) Send(to addr.Endpoint, msg wire.Message) {
 	switch m := msg.(type) {
 	case *croupier.ShuffleReq:
-		b = EncodeShuffleReq(m)
+		t.buf = encodeShuffle(t.buf[:0], kindShuffleReq, m.From, m.Pub, m.Pri, m.Estimates)
 	case *croupier.ShuffleRes:
-		b = EncodeShuffleRes(m)
+		t.buf = encodeShuffle(t.buf[:0], kindShuffleRes, m.From, m.Pub, m.Pri, m.Estimates)
 	default:
 		return
 	}
-	_, _ = t.conn.WriteToUDPAddrPort(b, to.AddrPort())
+	_, _ = t.conn.WriteToUDPAddrPort(t.buf, to.AddrPort())
 	if m := t.m; m != nil {
 		m.udpTx.Inc()
-		m.udpTxBytes.Add(uint64(len(b)))
+		m.udpTxBytes.Add(uint64(len(t.buf)))
 	}
 	if r, ok := msg.(wire.Releasable); ok {
 		r.Release()
@@ -290,7 +295,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		nm = newNodeMetrics(cfg.Registry)
 	}
 	core, err := croupier.NewWithTransport(cfg.Croupier, cfg.ID,
-		rand.New(rand.NewSource(cfg.Seed)), transport{conn: conn, m: nm},
+		rand.New(rand.NewSource(cfg.Seed)), &transport{conn: conn, m: nm},
 		cfg.Nat, cfg.Advertise, seeds)
 	if err != nil {
 		conn.Close()

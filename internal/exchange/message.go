@@ -181,7 +181,7 @@ func (p *Pool) NewRes() *Res {
 }
 
 // FreeList recycles protocol-specific auxiliary messages (relay
-// wrappers, keep-alives, punch confirmations) the same way Pool
+// wrappers, hole-punch requests and confirmations) the same way Pool
 // recycles requests and responses. Like Pool it is mutex-guarded:
 // auxiliary messages released by the network after a relay handled
 // them return to their origin's list, which may live on another shard.

@@ -145,39 +145,30 @@ func (m *PunchOK) Release() {
 }
 
 // KeepAlive refreshes an RVP relationship and the underlying NAT
-// mapping.
+// mapping. Each node builds its one KeepAlive (and one KeepAliveAck) at
+// construction and sends it by pointer to every RVP: it is never
+// written afterwards, so receivers on any shard read it without
+// synchronisation, and it is not Releasable — there is nothing to
+// recycle.
 type KeepAlive struct {
 	From addr.NodeID
-	fl   *exchange.FreeList[KeepAlive]
 }
 
 // Size implements wire.Message.
 func (m *KeepAlive) Size() int { return wire.MsgHeaderSize + 2 }
 
-// Release implements wire.Releasable.
-func (m *KeepAlive) Release() {
-	if m.fl != nil {
-		m.fl.Put(m)
-	}
-}
-
 // KeepAliveAck answers a KeepAlive, refreshing the reverse mapping.
 type KeepAliveAck struct {
 	From addr.NodeID
-	fl   *exchange.FreeList[KeepAliveAck]
 }
 
 // Size implements wire.Message.
 func (m *KeepAliveAck) Size() int { return wire.MsgHeaderSize + 2 }
 
-// Release implements wire.Releasable.
-func (m *KeepAliveAck) Release() {
-	if m.fl != nil {
-		m.fl.Put(m)
-	}
-}
-
 // rvp records a rendezvous relationship with a direct, punched peer.
+// armed is the lastRefresh its expiry check in rvpDues was armed for;
+// rounds are stored in 32 bits (68 years of one-second rounds) so the
+// record stays 24 bytes — a full Nylon mesh holds one per node pair.
 // ext caches the shared routing extension stamped on private
 // descriptors learned from this peer at its current endpoint:
 // steady-state exchanges with an established RVP reuse one immutable
@@ -188,16 +179,79 @@ func (m *KeepAliveAck) Release() {
 // view.Ext is immutable once attached.
 type rvp struct {
 	endpoint    addr.Endpoint
-	lastRefresh int
+	lastRefresh int32
+	armed       int32
 	ext         *view.Ext
 }
 
-// route is a routing-table entry: the next hop towards a (private) node.
+// rvpDue arms one expiry check: the relationship with id is torn down
+// at round unless it was refreshed after the entry was pushed.
+type rvpDue struct {
+	round int
+	id    addr.NodeID
+}
+
+// rvpDues is a min-heap of expiry checks ordered by (round, id). A
+// refresh only moves the record's lastRefresh; the entry is re-armed
+// when it pops. A relationship torn down by eviction leaves its entry
+// behind, recognised on pop because no record is armed for its round.
+// Hand-rolled because container/heap would box every entry it moves.
+type rvpDues []rvpDue
+
+func (h rvpDues) less(i, j int) bool {
+	return h[i].round < h[j].round || (h[i].round == h[j].round && h[i].id < h[j].id)
+}
+
+func (h *rvpDues) push(e rvpDue) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *rvpDues) pop() rvpDue {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q.less(c+1, c) {
+			c++
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
+// route is a routing-table entry: the next hop towards a (private)
+// node. Entries are stored by value and expire lazily: one older than
+// RouteTTL is dead to every read (liveRoute) and leaves the map at the
+// next sweep.
 type route struct {
 	nextHop   addr.NodeID
 	nextHopEP addr.Endpoint
 	updated   int
 }
+
+// routeSweepEvery is the period, in rounds, of the sweep that deletes
+// expired routing entries.
+const routeSweepEvery = 8
 
 // pendingPunch parks a filled request while the hole is punched; the
 // sent subset is the request's own Pub payload.
@@ -216,25 +270,29 @@ type Node struct {
 
 	punches map[addr.NodeID]pendingPunch
 	rvps    map[addr.NodeID]*rvp
-	routes  map[addr.NodeID]*route
+	routes  map[addr.NodeID]route
+
+	// A round's bookkeeping costs what changed, not what exists. roster
+	// holds the live RVP peers in ascending ID — the keep-alive and
+	// eviction order — and changes only on establish and teardown; dues
+	// holds one armed expiry check per relationship, so expiry pops what
+	// is due instead of sweeping the table.
+	roster []addr.NodeID
+	dues   rvpDues
+
+	// ka and kaAck are this node's immutable keep-alive messages (see
+	// KeepAlive).
+	ka    KeepAlive
+	kaAck KeepAliveAck
 
 	punchOKPool exchange.FreeList[PunchOK]
 	hpPool      exchange.FreeList[HolePunchReq]
-	kaPool      exchange.FreeList[KeepAlive]
-	kaAckPool   exchange.FreeList[KeepAliveAck]
-	kaIDs       []addr.NodeID // scratch for deterministic keep-alive order
-
-	// Expired route and RVP records are recycled: route churn is the
-	// dominant per-exchange bookkeeping in Nylon (every merged private
-	// descriptor updates the table), so the records must not be
-	// reallocated per update.
-	routePool exchange.FreeList[route]
-	rvpPool   exchange.FreeList[rvp]
+	rvpPool     exchange.FreeList[rvp]
 
 	// rvpEvents, when set, observes rendezvous-point lifecycle:
 	// established on a completed direct exchange, torn down on TTL
 	// expiry or capacity eviction. evIDs is the deterministic-order
-	// scratch for expiry sweeps.
+	// scratch for expiry.
 	rvpEvents func(peer addr.NodeID, established bool)
 	evIDs     []addr.NodeID
 
@@ -265,7 +323,9 @@ func New(cfg Config, id addr.NodeID, rng *rand.Rand, tr exchange.Transport,
 		cfg:     cfg,
 		punches: make(map[addr.NodeID]pendingPunch),
 		rvps:    make(map[addr.NodeID]*rvp),
-		routes:  make(map[addr.NodeID]*route),
+		routes:  make(map[addr.NodeID]route),
+		ka:      KeepAlive{From: id},
+		kaAck:   KeepAliveAck{From: id},
 	}, nil
 }
 
@@ -367,7 +427,7 @@ func (p *policy) MergeResponse(res *ShuffleRes, sentPub, _ []view.Descriptor) {
 // nextHopFor finds where to route a chain message for target q: the
 // routing table first, the descriptor's via as fallback.
 func (n *Node) nextHopFor(q view.Descriptor) (addr.Endpoint, bool) {
-	if r, ok := n.routes[q.ID]; ok && n.Rounds()-r.updated <= n.cfg.RouteTTL {
+	if r, ok := n.liveRoute(q.ID); ok {
 		return r.nextHopEP, true
 	}
 	if via := q.Via(); via != 0 && via != n.ID() && !q.ViaEndpoint().IsZero() {
@@ -376,31 +436,23 @@ func (n *Node) nextHopFor(q view.Descriptor) (addr.Endpoint, bool) {
 	return addr.Endpoint{}, false
 }
 
+// liveRoute returns the routing entry towards id if it is within
+// RouteTTL. Expired entries stay in the map until the next sweep, so
+// every read of the table goes through here.
+func (n *Node) liveRoute(id addr.NodeID) (route, bool) {
+	r, ok := n.routes[id]
+	return r, ok && n.Rounds()-r.updated <= n.cfg.RouteTTL
+}
+
 // expireState ages out dead RVPs, stale routes, and abandoned punch
 // attempts (the engine expires pending shuffles itself).
 func (n *Node) expireState() {
-	// Sweep in sorted order so teardown events fire deterministically
-	// regardless of map iteration order.
-	n.evIDs = n.evIDs[:0]
-	for id, r := range n.rvps {
-		if n.Rounds()-r.lastRefresh > n.cfg.RVPTTL {
-			n.evIDs = append(n.evIDs, id)
-		}
-	}
-	slices.Sort(n.evIDs)
-	for _, id := range n.evIDs {
-		r := n.rvps[id]
-		delete(n.rvps, id)
-		r.ext = nil // drop the cached extension with the relationship
-		n.rvpPool.Put(r)
-		if n.rvpEvents != nil {
-			n.rvpEvents(id, false)
-		}
-	}
-	for id, r := range n.routes {
-		if n.Rounds()-r.updated > n.cfg.RouteTTL {
-			delete(n.routes, id)
-			n.routePool.Put(r)
+	n.expireRVPs()
+	if n.Rounds()%routeSweepEvery == 0 {
+		for id, r := range n.routes {
+			if n.Rounds()-r.updated > n.cfg.RouteTTL {
+				delete(n.routes, id)
+			}
 		}
 	}
 	for id, p := range n.punches {
@@ -412,18 +464,51 @@ func (n *Node) expireState() {
 	}
 }
 
-func (n *Node) sendKeepAlives() {
-	// Send in sorted order so packet sequencing (and thus the whole
-	// run) stays deterministic.
-	n.kaIDs = n.kaIDs[:0]
-	for id := range n.rvps {
-		n.kaIDs = append(n.kaIDs, id)
+// expireRVPs tears down every relationship not refreshed within RVPTTL
+// rounds, popping only the expiry checks that are due. The teardowns
+// fire in ascending peer ID, the order a sorted sweep of the whole
+// table would produce.
+func (n *Node) expireRVPs() {
+	n.evIDs = n.evIDs[:0]
+	for len(n.dues) > 0 && n.dues[0].round <= n.Rounds() {
+		e := n.dues.pop()
+		r, ok := n.rvps[e.id]
+		switch {
+		case !ok || n.expiryRound(r.armed) != e.round:
+			// Left behind by an eviction; the peer may be back since.
+		case r.lastRefresh != r.armed:
+			n.arm(e.id, r) // refreshed since it was armed
+		default:
+			n.evIDs = append(n.evIDs, e.id)
+		}
 	}
-	slices.Sort(n.kaIDs)
-	for _, id := range n.kaIDs {
-		ka := n.kaPool.Get()
-		ka.From, ka.fl = n.ID(), &n.kaPool
-		n.Sock.Send(n.rvps[id].endpoint, ka)
+	// A peer evicted and re-established within one round has two
+	// identical entries, so it may be listed twice.
+	slices.Sort(n.evIDs)
+	for _, id := range slices.Compact(n.evIDs) {
+		n.dropRVP(id)
+	}
+}
+
+// expiryRound is the first round at which a relationship last
+// refreshed at round refresh is more than RVPTTL rounds old.
+func (n *Node) expiryRound(refresh int32) int { return int(refresh) + n.cfg.RVPTTL + 1 }
+
+// arm schedules the expiry check of id's record r for its current
+// lastRefresh.
+func (n *Node) arm(id addr.NodeID, r *rvp) {
+	r.armed = r.lastRefresh
+	n.dues.push(rvpDue{round: n.expiryRound(r.armed), id: id})
+}
+
+// round32 is the current round in the width rvp records store.
+func (n *Node) round32() int32 { return int32(n.Rounds()) }
+
+// sendKeepAlives refreshes every RVP in ascending peer ID, so packet
+// sequencing (and thus the whole run) stays deterministic.
+func (n *Node) sendKeepAlives() {
+	for _, id := range n.roster {
+		n.Sock.Send(n.rvps[id].endpoint, &n.ka)
 	}
 }
 
@@ -433,8 +518,11 @@ func (n *Node) becomeRVPs(id addr.NodeID, ep addr.Endpoint) {
 	r, ok := n.rvps[id]
 	if !ok {
 		r = n.rvpPool.Get()
-		r.ext = nil // recycled records may carry a stale cache
+		*r = rvp{lastRefresh: n.round32()} // recycled records may carry a stale cache
 		n.rvps[id] = r
+		i, _ := slices.BinarySearch(n.roster, id)
+		n.roster = slices.Insert(n.roster, i, id)
+		n.arm(id, r)
 		if n.rvpEvents != nil {
 			n.rvpEvents(id, true)
 		}
@@ -442,7 +530,7 @@ func (n *Node) becomeRVPs(id addr.NodeID, ep addr.Endpoint) {
 		r.ext = nil // cached ViaEndpoint no longer matches
 	}
 	r.endpoint = ep
-	r.lastRefresh = n.Rounds()
+	r.lastRefresh = n.round32()
 	// A direct relationship is also the best route.
 	n.setRoute(id, id, ep)
 	if n.cfg.MaxRVPs > 0 && len(n.rvps) > n.cfg.MaxRVPs {
@@ -450,61 +538,56 @@ func (n *Node) becomeRVPs(id addr.NodeID, ep addr.Endpoint) {
 	}
 }
 
-// evictOldestRVP drops the rendezvous relationship with the stalest
-// lastRefresh — never `keep`, the peer just refreshed — breaking ties
-// towards the smaller node ID so eviction is deterministic regardless
-// of map iteration order. The route entry, if any, is left to its own
-// TTL, matching how RVPTTL expiry treats routes.
-func (n *Node) evictOldestRVP(keep addr.NodeID) {
-	var victim addr.NodeID
-	found := false
-	for id, r := range n.rvps {
-		if id == keep {
-			continue
-		}
-		if !found {
-			victim, found = id, true
-			continue
-		}
-		v := n.rvps[victim]
-		if r.lastRefresh < v.lastRefresh || (r.lastRefresh == v.lastRefresh && id < victim) {
-			victim = id
-		}
-	}
-	if found {
-		v := n.rvps[victim]
-		v.ext = nil
-		n.rvpPool.Put(v)
-		delete(n.rvps, victim)
-		if n.rvpEvents != nil {
-			n.rvpEvents(victim, false)
-		}
+// dropRVP tears down the relationship with id. An armed expiry check
+// still in the heap is discarded when it pops.
+func (n *Node) dropRVP(id addr.NodeID) {
+	r := n.rvps[id]
+	delete(n.rvps, id)
+	i, _ := slices.BinarySearch(n.roster, id)
+	n.roster = slices.Delete(n.roster, i, i+1)
+	r.ext = nil // drop the cached extension with the relationship
+	n.rvpPool.Put(r)
+	if n.rvpEvents != nil {
+		n.rvpEvents(id, false)
 	}
 }
 
-// setRoute installs or refreshes a routing-table entry in place,
-// drawing recycled records from the free list.
-func (n *Node) setRoute(id, nextHop addr.NodeID, ep addr.Endpoint) {
-	r, ok := n.routes[id]
-	if !ok {
-		r = n.routePool.Get()
-		n.routes[id] = r
+// evictOldestRVP drops the rendezvous relationship with the stalest
+// lastRefresh — never `keep`, the peer just refreshed — breaking ties
+// towards the smaller node ID (the roster is in ID order, so the first
+// stalest wins). The route entry, if any, is left to its own TTL,
+// matching how RVPTTL expiry treats routes.
+func (n *Node) evictOldestRVP(keep addr.NodeID) {
+	var victim addr.NodeID
+	var oldest *rvp
+	for _, id := range n.roster {
+		if r := n.rvps[id]; id != keep && (oldest == nil || r.lastRefresh < oldest.lastRefresh) {
+			victim, oldest = id, r
+		}
 	}
-	r.nextHop, r.nextHopEP, r.updated = nextHop, ep, n.Rounds()
+	if oldest != nil {
+		n.dropRVP(victim)
+	}
+}
+
+// setRoute installs or refreshes a routing-table entry.
+func (n *Node) setRoute(id, nextHop addr.NodeID, ep addr.Endpoint) {
+	n.routes[id] = route{nextHop: nextHop, nextHopEP: ep, updated: n.Rounds()}
 }
 
 // learnRoutes updates the routing table and stamps Via on received
 // private descriptors in place: the exchange partner is the next hop
 // towards every private node it advertised (Nylon's routing-table
-// maintenance). descs is a pooled message payload about to be recycled,
-// so rewriting its entries is safe; the view merge copies what it
-// keeps. Every stamped descriptor points at the same partner, so one
-// shared extension serves the whole batch — attached by replacing the
-// Ext pointer, never by writing through a received one, which copies in
-// other views may share (view.Ext is immutable once attached). With an
-// established RVP at the same endpoint the extension is cached on the
-// rendezvous record, so steady-state exchanges reuse one Ext across
-// rounds instead of allocating one per exchange.
+// maintenance), unless a live direct route to it exists. descs is a
+// pooled message payload about to be recycled, so rewriting its entries
+// is safe; the view merge copies what it keeps. Every stamped
+// descriptor points at the same partner, so one shared extension serves
+// the whole batch — attached by replacing the Ext pointer, never by
+// writing through a received one, which copies in other views may share
+// (view.Ext is immutable once attached). With an established RVP at the
+// same endpoint the extension is cached on the rendezvous record, so
+// steady-state exchanges reuse one Ext across rounds instead of
+// allocating one per exchange.
 func (n *Node) learnRoutes(descs []view.Descriptor, partner addr.NodeID, partnerEP addr.Endpoint) []view.Descriptor {
 	var ext *view.Ext
 	for i := range descs {
@@ -514,7 +597,7 @@ func (n *Node) learnRoutes(descs []view.Descriptor, partner addr.NodeID, partner
 				ext = n.partnerExt(partner, partnerEP)
 			}
 			d.Ext = ext
-			if cur, ok := n.routes[d.ID]; !ok || cur.nextHop != d.ID {
+			if cur, ok := n.liveRoute(d.ID); !ok || cur.nextHop != d.ID {
 				n.setRoute(d.ID, partner, partnerEP)
 			}
 		}
@@ -606,7 +689,7 @@ func (n *Node) handleHolePunchReq(from addr.Endpoint, m *HolePunchReq) {
 		n.Sock.Send(r.endpoint, fw)
 		return
 	}
-	if r, ok := n.routes[m.Target]; ok && n.Rounds()-r.updated <= n.cfg.RouteTTL {
+	if r, ok := n.liveRoute(m.Target); ok {
 		n.Sock.Send(r.nextHopEP, fw)
 		return
 	}
@@ -631,20 +714,18 @@ func (n *Node) handlePunchOK(from addr.Endpoint, m *PunchOK) {
 
 func (n *Node) handleKeepAlive(from addr.Endpoint, m *KeepAlive) {
 	if r, ok := n.rvps[m.From]; ok {
-		r.lastRefresh = n.Rounds()
+		r.lastRefresh = n.round32()
 		if r.endpoint != from {
 			r.ext = nil // cached ViaEndpoint no longer matches
 			r.endpoint = from
 		}
 	}
-	ack := n.kaAckPool.Get()
-	ack.From, ack.fl = n.ID(), &n.kaAckPool
-	n.Sock.Send(from, ack)
+	n.Sock.Send(from, &n.kaAck)
 }
 
 func (n *Node) handleKeepAliveAck(m *KeepAliveAck) {
 	if r, ok := n.rvps[m.From]; ok {
-		r.lastRefresh = n.Rounds()
+		r.lastRefresh = n.round32()
 	}
 }
 

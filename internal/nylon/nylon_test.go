@@ -2,7 +2,9 @@ package nylon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/addr"
@@ -240,8 +242,8 @@ func TestHopLimitStopsRoutingLoops(t *testing.T) {
 	b := r.pubNode(t, 2, nil)
 	// Adversarial routing state: a and b point at each other for an
 	// unreachable target.
-	a.routes[99] = &route{nextHop: 2, nextHopEP: b.SelfDescriptor().Endpoint, updated: 0}
-	b.routes[99] = &route{nextHop: 1, nextHopEP: a.SelfDescriptor().Endpoint, updated: 0}
+	a.setRoute(99, 2, b.SelfDescriptor().Endpoint)
+	b.setRoute(99, 1, a.SelfDescriptor().Endpoint)
 
 	a.handleHolePunchReq(b.SelfDescriptor().Endpoint, &HolePunchReq{Origin: 5, OriginEP: addr.Endpoint{IP: 9, Port: 9}, Target: 99, Hops: 0})
 	r.sched.Run()
@@ -310,7 +312,7 @@ func TestDirectRoutePreferredOverChain(t *testing.T) {
 	n := r.pubNode(t, 1, nil)
 	// A direct route (nextHop == target) must not be overwritten by a
 	// learned chain hop.
-	n.routes[7] = &route{nextHop: 7, nextHopEP: addr.Endpoint{IP: 7, Port: 7}, updated: 0}
+	n.setRoute(7, 7, addr.Endpoint{IP: 7, Port: 7})
 	privDesc := view.Descriptor{ID: 7, Endpoint: addr.Endpoint{IP: 9, Port: 9}, Nat: addr.Private}
 	n.learnRoutes([]view.Descriptor{privDesc}, 5, addr.Endpoint{IP: 8, Port: 8})
 	if n.routes[7].nextHop != 7 {
@@ -413,8 +415,8 @@ func TestViaSemanticsSurviveDescriptorSplit(t *testing.T) {
 	for i := 0; i < n.cfg.RouteTTL+1; i++ {
 		idleRound(n)
 	}
-	if _, ok := n.routes[7]; ok {
-		t.Fatal("route survived past TTL; fallback not exercised")
+	if hop, ok := n.nextHopFor(view.Descriptor{ID: 7}); ok {
+		t.Fatalf("route survived past TTL (next hop %v); fallback not exercised", hop)
 	}
 	d, ok := n.View.Get(7)
 	if !ok {
@@ -545,5 +547,267 @@ func TestRVPEventsOnCapacityEviction(t *testing.T) {
 	}
 	if _, ok := n.rvps[2]; ok {
 		t.Fatal("victim 2 still present after eviction")
+	}
+}
+
+// refBook is the RVP and route bookkeeping Node kept before expiry
+// became heap-timed: pointer records in maps, a sorted sweep of the
+// whole RVP table and of the whole route table every round, keep-alive
+// targets sorted per burst, and eviction by a scan of the map. It stays
+// as a test-only oracle: TestBookkeepingMatchesReference drives it and
+// Node side by side.
+type refBook struct {
+	cfg    Config
+	round  int
+	rvps   map[addr.NodeID]*refRVP
+	routes map[addr.NodeID]*route
+	events []rvpEvent
+}
+
+type refRVP struct {
+	endpoint    addr.Endpoint
+	lastRefresh int
+}
+
+type rvpEvent struct {
+	peer        addr.NodeID
+	established bool
+}
+
+func newRefBook(cfg Config) *refBook {
+	return &refBook{cfg: cfg, rvps: map[addr.NodeID]*refRVP{}, routes: map[addr.NodeID]*route{}}
+}
+
+func (b *refBook) sortedRVPs() []addr.NodeID {
+	ids := make([]addr.NodeID, 0, len(b.rvps))
+	for id := range b.rvps {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// advance is one round's expiry sweep.
+func (b *refBook) advance() {
+	b.round++
+	var dead []addr.NodeID
+	for id, r := range b.rvps {
+		if b.round-r.lastRefresh > b.cfg.RVPTTL {
+			dead = append(dead, id)
+		}
+	}
+	slices.Sort(dead)
+	for _, id := range dead {
+		delete(b.rvps, id)
+		b.events = append(b.events, rvpEvent{id, false})
+	}
+	for id, r := range b.routes {
+		if b.round-r.updated > b.cfg.RouteTTL {
+			delete(b.routes, id)
+		}
+	}
+}
+
+func (b *refBook) setRoute(id, nextHop addr.NodeID, ep addr.Endpoint) {
+	b.routes[id] = &route{nextHop: nextHop, nextHopEP: ep, updated: b.round}
+}
+
+func (b *refBook) become(id addr.NodeID, ep addr.Endpoint) {
+	r, ok := b.rvps[id]
+	if !ok {
+		r = &refRVP{}
+		b.rvps[id] = r
+		b.events = append(b.events, rvpEvent{id, true})
+	}
+	r.endpoint, r.lastRefresh = ep, b.round
+	b.setRoute(id, id, ep)
+	if b.cfg.MaxRVPs > 0 && len(b.rvps) > b.cfg.MaxRVPs {
+		var victim addr.NodeID
+		found := false
+		for id2, r2 := range b.rvps {
+			if id2 == id {
+				continue
+			}
+			if !found {
+				victim, found = id2, true
+				continue
+			}
+			v := b.rvps[victim]
+			if r2.lastRefresh < v.lastRefresh || (r2.lastRefresh == v.lastRefresh && id2 < victim) {
+				victim = id2
+			}
+		}
+		if found {
+			delete(b.rvps, victim)
+			b.events = append(b.events, rvpEvent{victim, false})
+		}
+	}
+}
+
+func (b *refBook) keepAlive(from addr.NodeID, ep addr.Endpoint) {
+	if r, ok := b.rvps[from]; ok {
+		r.lastRefresh, r.endpoint = b.round, ep
+	}
+}
+
+func (b *refBook) ack(from addr.NodeID) {
+	if r, ok := b.rvps[from]; ok {
+		r.lastRefresh = b.round
+	}
+}
+
+func (b *refBook) learn(self addr.NodeID, descs []view.Descriptor, partner addr.NodeID, ep addr.Endpoint) {
+	for _, d := range descs {
+		if d.Nat == addr.Private && d.ID != self {
+			if cur, ok := b.routes[d.ID]; !ok || cur.nextHop != d.ID {
+				b.setRoute(d.ID, partner, ep)
+			}
+		}
+	}
+}
+
+func (b *refBook) nextHop(id addr.NodeID) (addr.Endpoint, bool) {
+	if r, ok := b.routes[id]; ok && b.round-r.updated <= b.cfg.RouteTTL {
+		return r.nextHopEP, true
+	}
+	return addr.Endpoint{}, false
+}
+
+// keepAliveLog is a transport that records where keep-alives go and
+// recycles everything else.
+type keepAliveLog struct{ to []addr.Endpoint }
+
+func (l *keepAliveLog) Send(to addr.Endpoint, msg wire.Message) {
+	if _, ok := msg.(*KeepAlive); ok {
+		l.to = append(l.to, to)
+	}
+	if r, ok := msg.(wire.Releasable); ok {
+		r.Release()
+	}
+}
+
+// TestBookkeepingMatchesReference drives Node and the map-and-sweep
+// reference through the same random operations — establishments (with
+// evictions under MaxRVPs 3), keep-alive and ack refreshes from one of
+// two endpoints per peer, route learning over batches of private
+// descriptors, and advances of 1–25 rounds — and after every operation
+// requires equal RVP sets (endpoints and lastRefresh included), equal
+// lifecycle event sequences, equal keep-alive target order and equal
+// nextHopFor answers for every peer ID: the heap-timed expiry, the
+// roster and lazy route expiry are a layout-only change.
+func TestBookkeepingMatchesReference(t *testing.T) {
+	const self = addr.NodeID(1)
+	ep := func(peer addr.NodeID, variant uint32) addr.Endpoint {
+		return addr.Endpoint{IP: addr.MakeIP(9, 0, byte(variant), byte(peer)), Port: 100}
+	}
+	for _, maxRVPs := range []int{0, 3} {
+		cfg := DefaultConfig()
+		cfg.MaxRVPs = maxRVPs
+		f := func(ops [300]uint32) bool {
+			log := &keepAliveLog{}
+			n, err := New(cfg, self, rand.New(rand.NewSource(1)), log, addr.Public, ep(self, 0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []rvpEvent
+			n.SetRVPEvents(func(peer addr.NodeID, established bool) {
+				events = append(events, rvpEvent{peer, established})
+			})
+			ref := newRefBook(cfg)
+			agree := func() bool {
+				if n.RVPCount() != len(ref.rvps) || !slices.Equal(events, ref.events) {
+					return false
+				}
+				for id, want := range ref.rvps {
+					got, ok := n.rvps[id]
+					if !ok || got.endpoint != want.endpoint || int(got.lastRefresh) != want.lastRefresh {
+						return false
+					}
+				}
+				log.to = log.to[:0]
+				n.sendKeepAlives()
+				var targets []addr.Endpoint
+				for _, id := range ref.sortedRVPs() {
+					targets = append(targets, ref.rvps[id].endpoint)
+				}
+				if !slices.Equal(log.to, targets) {
+					return false
+				}
+				for id := self; id <= 10; id++ {
+					gotEP, gotOK := n.nextHopFor(view.Descriptor{ID: id})
+					wantEP, wantOK := ref.nextHop(id)
+					if gotEP != wantEP || gotOK != wantOK {
+						return false
+					}
+				}
+				return true
+			}
+			for _, op := range ops {
+				peer := 2 + addr.NodeID(op>>4%8)
+				at := ep(peer, op>>7%2)
+				switch op % 16 {
+				case 0, 1, 2, 3:
+					n.becomeRVPs(peer, at)
+					ref.become(peer, at)
+				case 4, 5:
+					n.HandlePacket(wire.Packet{From: at, Msg: &KeepAlive{From: peer}})
+					ref.keepAlive(peer, at)
+				case 6, 7:
+					n.HandlePacket(wire.Packet{From: at, Msg: &KeepAliveAck{From: peer}})
+					ref.ack(peer)
+				case 8, 9, 10:
+					var descs []view.Descriptor
+					for i := addr.NodeID(0); i < 9; i++ {
+						if op>>(8+i)&1 != 0 {
+							descs = append(descs, view.Descriptor{ID: 1 + i, Endpoint: ep(1+i, 1), Nat: addr.Private})
+						}
+					}
+					if op>>17&1 != 0 {
+						descs = append(descs, view.Descriptor{ID: 10, Endpoint: ep(10, 1), Nat: addr.Public})
+					}
+					ref.learn(self, descs, peer, at)
+					n.learnRoutes(descs, peer, at)
+				default:
+					for k := 1 + op>>8%25; k > 0; k-- {
+						idleRound(n)
+						ref.advance()
+					}
+				}
+				if !agree() {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("MaxRVPs=%d: %v", maxRVPs, err)
+		}
+	}
+}
+
+// TestNylonKeepAliveAllocs pins the keep-alive path at zero
+// allocations once warm: a burst from a to its RVP b, b's refresh and
+// ack, and a's refresh on the ack, through the simulated network. Each
+// node sends its one immutable KeepAlive and KeepAliveAck by pointer.
+func TestNylonKeepAliveAllocs(t *testing.T) {
+	r := newRig(t)
+	a := r.pubNode(t, 1, nil)
+	b := r.pubNode(t, 2, nil)
+	a.View.Add(descOf(b))
+	a.RunRound()
+	r.sched.Run()
+	if a.RVPCount() != 1 || b.RVPCount() != 1 {
+		t.Fatalf("RVP counts a=%d b=%d, want 1 each", a.RVPCount(), b.RVPCount())
+	}
+	roundTrip := func() {
+		a.sendKeepAlives()
+		r.sched.Run()
+	}
+	roundTrip() // warm the network's event and packet storage
+	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
+		t.Fatalf("keep-alive round trip allocates %.1f objects, want 0", got)
+	}
+	if delivered := r.net.Delivered(); delivered < 2*101 {
+		t.Fatalf("only %d packets delivered: the keep-alives did not flow", delivered)
 	}
 }

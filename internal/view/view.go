@@ -240,14 +240,14 @@ func (v *View) RandomSubset(rng *rand.Rand, n int) []Descriptor {
 	return v.RandomSubsetInto(rng, n, make([]Descriptor, 0, n))
 }
 
-// SampleIndices partially Fisher–Yates-shuffles scratch so that its
+// sampleIndices partially Fisher–Yates-shuffles scratch so that its
 // first min(k, n) entries are distinct indices drawn uniformly at
 // random from [0, n), and returns the (possibly grown) scratch together
 // with the number of drawn indices. With a reused scratch buffer the
 // draw is allocation-free — it never materialises a full permutation.
-// It is the one sampling routine behind both view subsets and the
-// estimate piggyback draws, so uniformity fixes land in one place.
-func SampleIndices(rng *rand.Rand, k, n int, scratch []int) ([]int, int) {
+// It draws the view subsets; croupier's estimate piggyback draws
+// rejection-sample their own store instead.
+func sampleIndices(rng *rand.Rand, k, n int, scratch []int) ([]int, int) {
 	if k > n {
 		k = n
 	}
@@ -278,7 +278,7 @@ func (v *View) RandomSubsetInto(rng *rand.Rand, n int, dst []Descriptor) []Descr
 		return dst
 	}
 	var k int
-	v.permBuf, k = SampleIndices(rng, n, len(v.items), v.permBuf)
+	v.permBuf, k = sampleIndices(rng, n, len(v.items), v.permBuf)
 	for _, i := range v.permBuf[:k] {
 		dst = append(dst, v.items[i])
 	}

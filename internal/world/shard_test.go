@@ -75,25 +75,29 @@ func shardFingerprint(t *testing.T, kind Kind, shards int, skipNatID bool) strin
 // property: for a fixed seed, a world executed on N shards produces
 // byte-identical results to the sequential (one-shard) reference, for
 // all four protocols, through the NAT-identification join path and the
-// fast path alike.
+// fast path alike. One subtest per protocol, named after it, so a
+// single system's sharded world can run alone under the race detector
+// (-run 'TestShardedEqualsSequential/nylon').
 func TestShardedEqualsSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-world simulation sweep; run without -short")
 	}
 	for _, kind := range []Kind{KindCroupier, KindCyclon, KindGozar, KindNylon} {
-		for _, skip := range []bool{true, false} {
-			ref := shardFingerprint(t, kind, 1, skip)
-			if ref == "" {
-				t.Fatalf("%v: empty fingerprint", kind)
-			}
-			for _, shards := range []int{2, 3, 4} {
-				got := shardFingerprint(t, kind, shards, skip)
-				if got != ref {
-					t.Errorf("%v (skipNatID=%v): %d-shard run diverges from sequential\nfirst difference near byte %d",
-						kind, skip, shards, firstDiff(ref, got))
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, skip := range []bool{true, false} {
+				ref := shardFingerprint(t, kind, 1, skip)
+				if ref == "" {
+					t.Fatalf("%v: empty fingerprint", kind)
+				}
+				for _, shards := range []int{2, 3, 4} {
+					got := shardFingerprint(t, kind, shards, skip)
+					if got != ref {
+						t.Errorf("%v (skipNatID=%v): %d-shard run diverges from sequential\nfirst difference near byte %d",
+							kind, skip, shards, firstDiff(ref, got))
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
